@@ -390,11 +390,11 @@ mod tests {
 
     #[test]
     fn baseline_roundtrip() {
-        let text = "# comment\nraw-publish crates/core/src/single.rs:479\n\nflush-order a.rs:3\n";
+        let text = "# comment\nraw-publish crates/core/src/ctx.rs:479\n\nflush-order a.rs:3\n";
         let b = parse_baseline(text);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].lint, "raw-publish");
-        assert_eq!(b[0].file, "crates/core/src/single.rs");
+        assert_eq!(b[0].file, "crates/core/src/ctx.rs");
         assert_eq!(b[0].line, 479);
     }
 

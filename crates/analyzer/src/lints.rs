@@ -92,12 +92,11 @@ const PERSIST: [&str; 7] = [
 /// Wrappers that publish *and* persist internally (safe combos).
 /// `wbuf_append` commits a buffer entry with one publish + persist;
 /// `wbuf_fold` ends with the p-atomic generation bump + persist (§5.12).
-const COMBO: [&str; 8] = [
+const COMBO: [&str; 7] = [
     "commit_bitmap",
     "set_next",
     "set_status",
     "set_head",
-    "set_groups_head",
     "reset_slot",
     "wbuf_append",
     "wbuf_fold",
@@ -118,13 +117,12 @@ const BUMP_OPS: [&str; 6] = [
 /// Accessors whose result is the lock word.
 const BUMP_TARGETS: [&str; 2] = ["vlock_ref", "lock_ref"];
 /// First-argument substrings identifying p-atomic commit words.
-const COMMIT_KEYWORDS: [&str; 9] = [
+const COMMIT_KEYWORDS: [&str; 8] = [
     "bitmap",
     "off_next",
     "status",
     "log_op",
     "m_head",
-    "groups_head",
     "root",
     "wbuf_gen",
     "wbuf_entry_off",

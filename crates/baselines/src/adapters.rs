@@ -13,8 +13,7 @@ use crate::nvtree::NVTreeC;
 use crate::stx::StxTree;
 use crate::wbtree::WBTree;
 
-/// Global-mutex adapter for this crate's single-threaded trees (the orphan
-/// rule prevents implementing the core traits on `fptree_core::Locked`).
+/// Global-mutex adapter for this crate's single-threaded trees.
 pub struct Locked<T>(pub Mutex<T>);
 
 impl<T> Locked<T> {

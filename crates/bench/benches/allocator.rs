@@ -1,15 +1,8 @@
-//! Criterion: persistent allocation cost and the leaf-group amortization
-//! ablation (§4.3 — "using leaf groups decreases the number of expensive
-//! persistent memory allocations which leads to better insertion
-//! performance").
-
-use std::sync::Arc;
+//! Criterion: persistent allocation cost (one crash-safe allocate +
+//! deallocate pair per leaf split or unlink).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fptree_bench::shuffled_keys;
-use fptree_core::keys::FixedKey;
-use fptree_core::{SingleTree, TreeConfig};
-use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
+use fptree_pmem::{PmemPool, PoolOptions};
 
 fn bench_raw_alloc(c: &mut Criterion) {
     let mut g = c.benchmark_group("persistent_allocator");
@@ -31,40 +24,5 @@ fn bench_raw_alloc(c: &mut Criterion) {
     g.finish();
 }
 
-/// The ablation: identical FPTree config, leaf groups on vs off, insert
-/// throughput at 450 ns SCM latency (allocation flushes dominate splits).
-fn bench_leaf_groups(c: &mut Criterion) {
-    let mut g = c.benchmark_group("leaf_group_ablation_450ns");
-    g.sample_size(10);
-    for (name, group) in [("groups_off", 0usize), ("groups_16", 16)] {
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let pool = Arc::new(
-                        PmemPool::create(
-                            PoolOptions::direct(256 << 20)
-                                .with_latency(LatencyProfile::from_total(450)),
-                        )
-                        .expect("pool"),
-                    );
-                    let cfg = TreeConfig::fptree().with_leaf_group_size(group);
-                    (
-                        SingleTree::<FixedKey>::create(pool, cfg, ROOT_SLOT),
-                        shuffled_keys(5000, 44),
-                    )
-                },
-                |(mut t, keys)| {
-                    for &k in &keys {
-                        t.insert(&k, k);
-                    }
-                    t
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_raw_alloc, bench_leaf_groups);
+criterion_group!(benches, bench_raw_alloc);
 criterion_main!(benches);

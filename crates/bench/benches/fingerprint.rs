@@ -6,8 +6,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use fptree_bench::shuffled_keys;
 use fptree_core::fingerprint::{fingerprint_bytes, fingerprint_u64};
-use fptree_core::keys::FixedKey;
-use fptree_core::{SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, TreeConfig};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 fn bench_find_ablation(c: &mut Criterion) {
@@ -22,7 +21,7 @@ fn bench_find_ablation(c: &mut Criterion) {
         );
         let mut cfg = TreeConfig::fptree();
         cfg.fingerprints = fps;
-        let mut t = SingleTree::<FixedKey>::create(pool, cfg, ROOT_SLOT);
+        let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
         let keys = shuffled_keys(20_000, 45);
         for &k in &keys {
             t.insert(&k, k);

@@ -16,7 +16,7 @@ use fptree_baselines::{adapters, NVTreeC, StxTree, WBTree};
 use fptree_bench::{Args, Report, Row};
 use fptree_core::index::U64Index;
 use fptree_core::keys::FixedKey;
-use fptree_core::{ConcurrentFPTree, Locked, ShardedTree, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, ShardedTree, TreeConfig};
 use fptree_pmem::{create_pools, LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 use fptree_tatp::{run_mix, TatpDb};
 
@@ -130,16 +130,16 @@ impl Setup {
         let slot = self.dir + self.next_slot.get() * 16;
         self.next_slot.set(self.next_slot.get() + 1);
         match self.tree {
-            "FPTree" => Arc::new(Locked::new(SingleTree::<FixedKey>::create(
+            "FPTree" => Arc::new(ConcurrentFPTree::create(
                 Arc::clone(self.pool.as_ref().expect("pool")),
                 TreeConfig::fptree(),
                 slot,
-            ))),
-            "PTree" => Arc::new(Locked::new(SingleTree::<FixedKey>::create(
+            )),
+            "PTree" => Arc::new(ConcurrentFPTree::create(
                 Arc::clone(self.pool.as_ref().expect("pool")),
                 TreeConfig::ptree(),
                 slot,
-            ))),
+            )),
             // NV-Tree with the paper's §6.4 workaround sizes: large leaves
             // (1024) to space out rebuilds, small inner nodes (8).
             "NV-Tree" => Arc::new(NVTreeC::<FixedKey>::create(
@@ -230,8 +230,8 @@ impl Setup {
                     let slot = self.dir + i * 16;
                     match self.tree {
                         "FPTree" | "PTree" => {
-                            let t = SingleTree::<FixedKey>::open(Arc::clone(&pool2), slot)
-                                .expect("recover");
+                            let t =
+                                ConcurrentFPTree::open(Arc::clone(&pool2), slot).expect("recover");
                             if want_metrics {
                                 let snap = t.metrics_snapshot();
                                 match &mut recovered {

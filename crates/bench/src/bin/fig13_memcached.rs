@@ -5,8 +5,9 @@
 //! `--clients` concurrent clients and a modeled per-request network cost
 //! (`--net-us`, default 8 µs ≈ a saturated GbE round-trip share). The claim
 //! under test: concurrent indexes (FPTreeC, NV-TreeC, hash) are
-//! network-bound (near-identical throughput), single-threaded trees
-//! bottleneck on SETs.
+//! network-bound (near-identical throughput), single-threaded trees behind
+//! a global lock (wBTree, STXTree) bottleneck on SETs. The FPTree and PTree
+//! rows are the single-threaded presets of the one (concurrent) engine.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use fptree_bench::{Args, Report, Row};
 use fptree_core::concurrent::ConcurrentFPTreeVar;
 use fptree_core::index::BytesIndex;
 use fptree_core::keys::VarKey;
-use fptree_core::{Locked, SingleTree, TreeConfig};
+use fptree_core::TreeConfig;
 use fptree_kvcache::{run_mcbench, Cache, KvCache, McBenchConfig, ShardedCache};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
@@ -91,21 +92,21 @@ fn build_index(name: &str, requests: usize, latency: u64) -> Arc<dyn BytesIndex>
         )
     };
     match name {
-        "FPTree" => Arc::new(Locked::new(SingleTree::<VarKey>::create(
+        "FPTree" => Arc::new(ConcurrentFPTreeVar::create(
             pool(),
             TreeConfig::fptree_var(),
             ROOT_SLOT,
-        ))),
+        )),
         "FPTreeC" => Arc::new(ConcurrentFPTreeVar::create(
             pool(),
             TreeConfig::fptree_concurrent_var(),
             ROOT_SLOT,
         )),
-        "PTree" => Arc::new(Locked::new(SingleTree::<VarKey>::create(
+        "PTree" => Arc::new(ConcurrentFPTreeVar::create(
             pool(),
             TreeConfig::ptree_var(),
             ROOT_SLOT,
-        ))),
+        )),
         "NV-TreeC" => Arc::new(NVTreeC::<VarKey>::create(pool(), 32, 128, ROOT_SLOT)),
         "wBTree" => Arc::new(adapters::Locked::new(WBTree::<VarKey>::create(
             pool(),

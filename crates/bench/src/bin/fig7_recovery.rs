@@ -16,7 +16,7 @@ use std::time::Instant;
 use fptree_baselines::{NVTreeC, StxTree, WBTree};
 use fptree_bench::{shuffled_keys, string_key, Args, Report, Row};
 use fptree_core::keys::{FixedKey, VarKey};
-use fptree_core::{SingleTree, TreeConfig};
+use fptree_core::{ConcKey, ConcurrentTree, TreeConfig};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 fn main() {
@@ -79,7 +79,7 @@ fn pool_mb_for(n: usize) -> usize {
 /// Recovers with each requested worker count, reporting total and per-phase
 /// times. Field names stay the bare tree name for the default single-setting
 /// run; sweeps suffix the worker count (`FPTree(t4)`).
-fn recover_sweep<K: fptree_core::KeyKind>(
+fn recover_sweep<K: ConcKey>(
     name: &str,
     img: &[u8],
     latency: u64,
@@ -91,8 +91,8 @@ fn recover_sweep<K: fptree_core::KeyKind>(
     for &threads in threads_list {
         let pool2 = reopen(img.to_vec(), latency);
         let start = Instant::now();
-        let t2 =
-            SingleTree::<K>::open_with(Arc::clone(&pool2), ROOT_SLOT, threads).expect("recover");
+        let t2 = ConcurrentTree::<K>::open_with(Arc::clone(&pool2), ROOT_SLOT, threads)
+            .expect("recover");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(t2.len(), expect_len);
         let label = if threads_list.len() == 1 {
@@ -125,13 +125,13 @@ fn measure_fixed(
     threads_list: &[usize],
 ) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
-    // FPTree (leaf groups: better recovery locality) and PTree.
+    // FPTree and PTree presets.
     for (name, cfg) in [
         ("FPTree", TreeConfig::fptree()),
         ("PTree", TreeConfig::ptree()),
     ] {
         let pool = pool_with(pool_mb_for(keys.len()), latency);
-        let mut t = SingleTree::<FixedKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let t = ConcurrentTree::<FixedKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         for &k in keys {
             t.insert(&k, k);
         }
@@ -207,7 +207,7 @@ fn measure_var(
         ("PTreeVar", TreeConfig::ptree_var()),
     ] {
         let pool = pool_with(pool_mb_for(keys.len()) * 2, latency);
-        let mut t = SingleTree::<VarKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let t = ConcurrentTree::<VarKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         for k in &skeys {
             t.insert(k, 1);
         }

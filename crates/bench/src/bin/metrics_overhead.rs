@@ -16,8 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fptree_bench::{shuffled_keys, Args};
-use fptree_core::keys::FixedKey;
-use fptree_core::{Metrics, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, Metrics, TreeConfig};
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 
 fn main() {
@@ -27,7 +26,7 @@ fn main() {
 
     let pool_mb = (scale * 4000 / (1 << 20) + 128).next_power_of_two();
     let pool = Arc::new(PmemPool::create(PoolOptions::direct(pool_mb << 20)).expect("pool"));
-    let mut t = SingleTree::<FixedKey>::create(pool, TreeConfig::fptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, TreeConfig::fptree(), ROOT_SLOT);
     let keys = shuffled_keys(scale, 7);
     for &k in &keys {
         t.insert(&k, k);

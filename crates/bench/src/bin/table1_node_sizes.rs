@@ -11,7 +11,7 @@ use std::time::Instant;
 use fptree_baselines::{NVTreeC, StxTree, WBTree};
 use fptree_bench::{shuffled_keys, Args, Report, Row};
 use fptree_core::keys::FixedKey;
-use fptree_core::{SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, TreeConfig};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 fn main() {
@@ -156,7 +156,7 @@ fn make_pool(scale: usize, latency: u64) -> Arc<PmemPool> {
 
 fn bench_single(cfg: TreeConfig, keys: &[u64], probe: &[u64], latency: u64) -> f64 {
     let pool = make_pool(keys.len(), latency);
-    let mut t = SingleTree::<FixedKey>::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
     bench_ops(keys, probe, |op| match op {
         Op::Insert(k, v) => {
             t.insert(&k, v);

@@ -5,15 +5,16 @@ use std::sync::Arc;
 
 use fptree_baselines::{NVTreeC, StxTree, WBTree};
 use fptree_core::keys::{FixedKey, VarKey};
-use fptree_core::{ConcurrentFPTree, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, ConcurrentFPTreeVar, TreeConfig};
 use fptree_pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 /// The trees of the evaluation (§6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeKind {
-    /// Single-threaded FPTree (fingerprints + leaf groups).
+    /// The paper's single-threaded FPTree preset (fingerprints, 4096-way
+    /// inner nodes) on the one tree engine.
     FPTree,
-    /// PTree: selective persistence + unsorted leaves only.
+    /// PTree preset: selective persistence + unsorted leaves only.
     PTree,
     /// NV-Tree (DRAM inner nodes granted, as in the paper).
     NVTree,
@@ -63,7 +64,6 @@ fn make_pool(mb: usize, total_latency_ns: u64) -> Arc<PmemPool> {
 /// A fixed-size-key tree under benchmark, owning its pool.
 #[allow(clippy::large_enum_variant)] // a handful of handles, not hot data
 pub enum AnyTree {
-    FP(SingleTree<FixedKey>),
     NV(NVTreeC<FixedKey>),
     WB(WBTree<FixedKey>),
     Stx(StxTree<u64>, Option<Arc<PmemPool>>),
@@ -88,23 +88,18 @@ impl AnyTree {
         value_size: usize,
         wbuf: Option<usize>,
     ) -> AnyTree {
+        let fp = |preset: TreeConfig| {
+            let mut cfg = preset.with_value_size(value_size);
+            if let Some(w) = wbuf {
+                cfg = cfg.with_wbuf_entries(w);
+            }
+            let pool = make_pool(pool_mb, latency_ns);
+            AnyTree::FPC(ConcurrentFPTree::create(pool, cfg, ROOT_SLOT))
+        };
         match kind {
-            TreeKind::FPTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::PTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::ptree().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
+            TreeKind::FPTree => fp(TreeConfig::fptree()),
+            TreeKind::PTree => fp(TreeConfig::ptree()),
+            TreeKind::FPTreeC => fp(TreeConfig::fptree_concurrent()),
             TreeKind::NVTree => {
                 let pool = make_pool(pool_mb, latency_ns);
                 AnyTree::NV(NVTreeC::create(pool, 32, 128, ROOT_SLOT))
@@ -114,21 +109,12 @@ impl AnyTree {
                 AnyTree::WB(WBTree::create(pool, 64, 32, ROOT_SLOT))
             }
             TreeKind::Stx => AnyTree::Stx(StxTree::with_capacities(16, 16), None),
-            TreeKind::FPTreeC => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_concurrent().with_value_size(value_size);
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTree::FPC(ConcurrentFPTree::create(pool, cfg, ROOT_SLOT))
-            }
         }
     }
 
     /// Inserts a key.
     pub fn insert(&mut self, k: u64, v: u64) -> bool {
         match self {
-            AnyTree::FP(t) => t.insert(&k, v),
             AnyTree::NV(t) => t.insert(&k, v),
             AnyTree::WB(t) => t.insert(&k, v),
             AnyTree::Stx(t, _) => t.insert(&k, v),
@@ -139,7 +125,6 @@ impl AnyTree {
     /// Point lookup.
     pub fn get(&self, k: u64) -> Option<u64> {
         match self {
-            AnyTree::FP(t) => t.get(&k),
             AnyTree::NV(t) => t.get(&k),
             AnyTree::WB(t) => t.get(&k),
             AnyTree::Stx(t, _) => t.get(&k),
@@ -150,7 +135,6 @@ impl AnyTree {
     /// Updates an existing key.
     pub fn update(&mut self, k: u64, v: u64) -> bool {
         match self {
-            AnyTree::FP(t) => t.update(&k, v),
             AnyTree::NV(t) => t.update(&k, v),
             AnyTree::WB(t) => t.update(&k, v),
             AnyTree::Stx(t, _) => t.update(&k, v),
@@ -161,7 +145,6 @@ impl AnyTree {
     /// Removes a key.
     pub fn remove(&mut self, k: u64) -> bool {
         match self {
-            AnyTree::FP(t) => t.remove(&k),
             AnyTree::NV(t) => t.remove(&k),
             AnyTree::WB(t) => t.remove(&k),
             AnyTree::Stx(t, _) => t.remove(&k),
@@ -173,7 +156,6 @@ impl AnyTree {
     /// one-commit-per-leaf-run path; baselines without a batch API loop.
     pub fn insert_batch(&mut self, entries: &[(u64, u64)]) -> usize {
         match self {
-            AnyTree::FP(t) => t.insert_batch(entries),
             AnyTree::FPC(t) => t.insert_batch(entries),
             _ => entries.iter().filter(|(k, v)| self.insert(*k, *v)).count(),
         }
@@ -182,7 +164,6 @@ impl AnyTree {
     /// Batched remove; baselines without a batch API loop.
     pub fn remove_batch(&mut self, keys: &[u64]) -> usize {
         match self {
-            AnyTree::FP(t) => t.remove_batch(keys),
             AnyTree::FPC(t) => t.remove_batch(keys),
             _ => keys.iter().filter(|k| self.remove(**k)).count(),
         }
@@ -191,7 +172,6 @@ impl AnyTree {
     /// Ordered range scan: up to `count` pairs with keys `>= start`.
     pub fn scan_from(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
         match self {
-            AnyTree::FP(t) => t.scan(start..).take(count).collect(),
             AnyTree::NV(t) => t.scan_from(&start, count),
             AnyTree::WB(t) => t.scan_from(&start, count),
             AnyTree::Stx(t, _) => t.scan_from(&start, count),
@@ -202,10 +182,6 @@ impl AnyTree {
     /// `(scm_bytes, dram_bytes)` footprint (Figure 8).
     pub fn memory(&self) -> (u64, u64) {
         match self {
-            AnyTree::FP(t) => {
-                let m = t.memory_usage();
-                (m.scm_bytes, m.dram_bytes)
-            }
             AnyTree::NV(t) => {
                 let (scm, dram, _) = t.memory_usage();
                 (scm, dram)
@@ -232,7 +208,6 @@ impl AnyTree {
     /// that carry no registry.
     pub fn metrics_snapshot(&self) -> Option<fptree_core::Snapshot> {
         match self {
-            AnyTree::FP(t) => Some(t.metrics_snapshot()),
             AnyTree::FPC(t) => Some(t.metrics_snapshot()),
             _ => None,
         }
@@ -250,7 +225,6 @@ impl AnyTree {
 
 fn t_pool(t: &AnyTree) -> Option<&Arc<PmemPool>> {
     match t {
-        AnyTree::FP(t) => Some(t.pool()),
         AnyTree::NV(t) => Some(t.pool()),
         AnyTree::WB(t) => Some(t.pool()),
         AnyTree::Stx(_, p) => p.as_ref(),
@@ -261,11 +235,10 @@ fn t_pool(t: &AnyTree) -> Option<&Arc<PmemPool>> {
 /// A variable-size-key tree under benchmark.
 #[allow(clippy::large_enum_variant)]
 pub enum AnyTreeVar {
-    FP(SingleTree<VarKey>),
     NV(NVTreeC<VarKey>),
     WB(WBTree<VarKey>),
     Stx(StxTree<Vec<u8>>),
-    FPC(fptree_core::concurrent::ConcurrentFPTreeVar),
+    FPC(ConcurrentFPTreeVar),
 }
 
 impl AnyTreeVar {
@@ -282,23 +255,17 @@ impl AnyTreeVar {
         latency_ns: u64,
         wbuf: Option<usize>,
     ) -> AnyTreeVar {
+        let fp = |mut cfg: TreeConfig| {
+            if let Some(w) = wbuf {
+                cfg = cfg.with_wbuf_entries(w);
+            }
+            let pool = make_pool(pool_mb, latency_ns);
+            AnyTreeVar::FPC(ConcurrentFPTreeVar::create(pool, cfg, ROOT_SLOT))
+        };
         match kind {
-            TreeKind::FPTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
-            TreeKind::PTree => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::ptree_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FP(SingleTree::create(pool, cfg, ROOT_SLOT))
-            }
+            TreeKind::FPTree => fp(TreeConfig::fptree_var()),
+            TreeKind::PTree => fp(TreeConfig::ptree_var()),
+            TreeKind::FPTreeC => fp(TreeConfig::fptree_concurrent_var()),
             TreeKind::NVTree => {
                 let pool = make_pool(pool_mb, latency_ns);
                 AnyTreeVar::NV(NVTreeC::create(pool, 32, 128, ROOT_SLOT))
@@ -308,16 +275,6 @@ impl AnyTreeVar {
                 AnyTreeVar::WB(WBTree::create(pool, 64, 32, ROOT_SLOT))
             }
             TreeKind::Stx => AnyTreeVar::Stx(StxTree::with_capacities(8, 8)),
-            TreeKind::FPTreeC => {
-                let pool = make_pool(pool_mb, latency_ns);
-                let mut cfg = TreeConfig::fptree_concurrent_var();
-                if let Some(w) = wbuf {
-                    cfg = cfg.with_wbuf_entries(w);
-                }
-                AnyTreeVar::FPC(fptree_core::concurrent::ConcurrentFPTreeVar::create(
-                    pool, cfg, ROOT_SLOT,
-                ))
-            }
         }
     }
 
@@ -325,7 +282,6 @@ impl AnyTreeVar {
     pub fn insert(&mut self, k: &[u8], v: u64) -> bool {
         let key = k.to_vec();
         match self {
-            AnyTreeVar::FP(t) => t.insert(&key, v),
             AnyTreeVar::NV(t) => t.insert(&key, v),
             AnyTreeVar::WB(t) => t.insert(&key, v),
             AnyTreeVar::Stx(t) => t.insert(&key, v),
@@ -337,7 +293,6 @@ impl AnyTreeVar {
     pub fn get(&self, k: &[u8]) -> Option<u64> {
         let key = k.to_vec();
         match self {
-            AnyTreeVar::FP(t) => t.get(&key),
             AnyTreeVar::NV(t) => t.get(&key),
             AnyTreeVar::WB(t) => t.get(&key),
             AnyTreeVar::Stx(t) => t.get(&key),
@@ -349,7 +304,6 @@ impl AnyTreeVar {
     pub fn update(&mut self, k: &[u8], v: u64) -> bool {
         let key = k.to_vec();
         match self {
-            AnyTreeVar::FP(t) => t.update(&key, v),
             AnyTreeVar::NV(t) => t.update(&key, v),
             AnyTreeVar::WB(t) => t.update(&key, v),
             AnyTreeVar::Stx(t) => t.update(&key, v),
@@ -361,7 +315,6 @@ impl AnyTreeVar {
     pub fn remove(&mut self, k: &[u8]) -> bool {
         let key = k.to_vec();
         match self {
-            AnyTreeVar::FP(t) => t.remove(&key),
             AnyTreeVar::NV(t) => t.remove(&key),
             AnyTreeVar::WB(t) => t.remove(&key),
             AnyTreeVar::Stx(t) => t.remove(&key),
@@ -373,7 +326,6 @@ impl AnyTreeVar {
     /// one-commit-per-leaf-run path; baselines without a batch API loop.
     pub fn insert_batch(&mut self, entries: &[(Vec<u8>, u64)]) -> usize {
         match self {
-            AnyTreeVar::FP(t) => t.insert_batch(entries),
             AnyTreeVar::FPC(t) => t.insert_batch(entries),
             _ => entries.iter().filter(|(k, v)| self.insert(k, *v)).count(),
         }
@@ -382,7 +334,6 @@ impl AnyTreeVar {
     /// Batched remove; baselines without a batch API loop.
     pub fn remove_batch(&mut self, keys: &[Vec<u8>]) -> usize {
         match self {
-            AnyTreeVar::FP(t) => t.remove_batch(keys),
             AnyTreeVar::FPC(t) => t.remove_batch(keys),
             _ => keys.iter().filter(|k| self.remove(k)).count(),
         }
@@ -392,7 +343,6 @@ impl AnyTreeVar {
     pub fn scan_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         let key = start.to_vec();
         match self {
-            AnyTreeVar::FP(t) => t.scan(key..).take(count).collect(),
             AnyTreeVar::NV(t) => t.scan_from(&key, count),
             AnyTreeVar::WB(t) => t.scan_from(&key, count),
             AnyTreeVar::Stx(t) => t.scan_from(&key, count),
@@ -403,10 +353,6 @@ impl AnyTreeVar {
     /// `(scm_bytes, dram_bytes)` footprint.
     pub fn memory(&self) -> (u64, u64) {
         match self {
-            AnyTreeVar::FP(t) => {
-                let m = t.memory_usage();
-                (m.scm_bytes, m.dram_bytes)
-            }
             AnyTreeVar::NV(t) => {
                 let (scm, dram, _) = t.memory_usage();
                 (scm, dram)
@@ -426,7 +372,6 @@ impl AnyTreeVar {
     /// The backing pool, if any.
     pub fn pool(&self) -> Option<&Arc<PmemPool>> {
         match self {
-            AnyTreeVar::FP(t) => Some(t.pool()),
             AnyTreeVar::NV(t) => Some(t.pool()),
             AnyTreeVar::WB(t) => Some(t.pool()),
             AnyTreeVar::Stx(_) => None,
@@ -438,7 +383,6 @@ impl AnyTreeVar {
     /// that carry no registry.
     pub fn metrics_snapshot(&self) -> Option<fptree_core::Snapshot> {
         match self {
-            AnyTreeVar::FP(t) => Some(t.metrics_snapshot()),
             AnyTreeVar::FPC(t) => Some(t.metrics_snapshot()),
             _ => None,
         }

@@ -40,7 +40,7 @@ macro_rules! say {
 }
 
 use fptree_core::metrics::{Metrics, Snapshot};
-use fptree_core::{FPTreeVar, ShardedTreeVar, TreeConfig};
+use fptree_core::{ConcurrentFPTreeVar, ShardedTreeVar, TreeConfig};
 use fptree_kvcache::cache::ScanItem;
 use fptree_kvcache::{Cache, ServerBuilder};
 use fptree_pmem::{
@@ -57,7 +57,7 @@ const POOL_SIZE: usize = 256 << 20;
 enum CliTree {
     Single {
         pool: Arc<PmemPool>,
-        tree: FPTreeVar,
+        tree: ConcurrentFPTreeVar,
     },
     Sharded {
         pools: Vec<Arc<PmemPool>>,
@@ -110,7 +110,7 @@ impl CliTree {
     fn scan_from(&self, start: Option<Vec<u8>>) -> Box<dyn Iterator<Item = (Vec<u8>, u64)> + '_> {
         match (self, start) {
             (CliTree::Single { tree, .. }, Some(s)) => Box::new(tree.scan(s..)),
-            (CliTree::Single { tree, .. }, None) => Box::new(tree.iter()),
+            (CliTree::Single { tree, .. }, None) => Box::new(tree.scan(..)),
             (CliTree::Sharded { tree, .. }, Some(s)) => Box::new(tree.scan(s..)),
             (CliTree::Sharded { tree, .. }, None) => Box::new(tree.scan(..)),
         }
@@ -152,16 +152,11 @@ impl CliTree {
     fn print_stats(&self, path: &str) {
         match self {
             CliTree::Single { pool, tree } => {
-                let mu = tree.memory_usage();
                 let alloc = pool.alloc_stats().expect("heap walk");
                 say!("keys:         {}", tree.len());
                 say!("height:       {}", tree.height());
-                say!("leaves:       {}", mu.leaf_count);
-                say!(
-                    "inner nodes:  {} ({} B DRAM)",
-                    mu.inner_count,
-                    mu.dram_bytes
-                );
+                say!("leaves:       {}", tree.leaf_offsets().len());
+                say!("inner nodes:  {} B DRAM", tree.dram_bytes());
                 say!(
                     "SCM in use:   {} B across {} blocks",
                     alloc.live_bytes,
@@ -293,7 +288,7 @@ fn open_or_create(path: &str, shards: usize) -> CliTree {
                 .unwrap_or_else(|e| fail(&format!("loading {path}: {e}"))),
         );
         let t = std::time::Instant::now();
-        let tree = FPTreeVar::open(Arc::clone(&pool), ROOT_SLOT)
+        let tree = ConcurrentFPTreeVar::open(Arc::clone(&pool), ROOT_SLOT)
             .unwrap_or_else(|e| fail(&format!("recovering {path}: {e}")));
         eprintln!("recovered {} keys in {:?}", tree.len(), t.elapsed());
         CliTree::Single { pool, tree }
@@ -311,7 +306,8 @@ fn open_or_create(path: &str, shards: usize) -> CliTree {
             PmemPool::create(PoolOptions::direct(POOL_SIZE))
                 .unwrap_or_else(|e| fail(&format!("creating pool: {e}"))),
         );
-        let tree = FPTreeVar::create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
+        let tree =
+            ConcurrentFPTreeVar::create(Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
         CliTree::Single { pool, tree }
     }
 }

@@ -2,12 +2,11 @@
 //! [`Error`] replacing the positional-`TreeConfig`-plus-panic construction
 //! paths.
 //!
-//! The original constructors (`FPTree::create(pool, cfg, owner_slot)` and
-//! friends) take positional arguments and panic on misconfiguration or pool
-//! exhaustion. This module keeps them working as thin wrappers but routes
-//! new code through a fluent builder that validates the configuration *and*
-//! the pool sizing before any persistent state is touched, and reports
-//! failures as a typed [`Error`] instead of a `String` or a panic:
+//! The positional constructors (`ConcurrentFPTree::create(pool, cfg,
+//! owner_slot)` and friends) panic on misconfiguration or pool exhaustion.
+//! The fluent builder validates the configuration *and* the pool sizing
+//! before any persistent state is touched, and reports failures as a typed
+//! [`Error`] instead of a `String` or a panic:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -15,7 +14,7 @@
 //! use fptree_core::TreeBuilder;
 //!
 //! let pool = Arc::new(PmemPool::create(PoolOptions::direct(32 << 20)).unwrap());
-//! let mut tree = TreeBuilder::new().leaf_capacity(32).build(pool).unwrap();
+//! let tree = TreeBuilder::new().leaf_capacity(32).build_concurrent(pool).unwrap();
 //! tree.insert(&7, 700);
 //! assert_eq!(tree.get(&7), Some(700));
 //! ```
@@ -30,18 +29,6 @@ use crate::config::TreeConfig;
 use crate::keys::KeyKind;
 use crate::layout::LeafLayout;
 use crate::meta::TreeMeta;
-use crate::single::{FPTree as FPTreeInner, FPTreeVar as FPTreeVarInner};
-
-/// Fixed-size (u64) key tree built by [`TreeBuilder::build`] — an alias of
-/// [`crate::FPTree`] under the facade's naming.
-pub type FpTree = FPTreeInner;
-/// Variable-size key tree built by [`TreeBuilder::build_var`].
-pub type FpTreeVar = FPTreeVarInner;
-/// Concurrent fixed-size key tree built by [`TreeBuilder::build_concurrent`].
-pub type FpTreeC = ConcurrentFPTree;
-/// Concurrent variable-size key tree built by
-/// [`TreeBuilder::build_concurrent_var`].
-pub type FpTreeCVar = ConcurrentFPTreeVar;
 
 /// Maximum accepted key length in bytes on the byte-string index seams —
 /// memcached's key limit, so the kvcache wire protocol round-trips with
@@ -51,7 +38,8 @@ pub const MAX_KEY_BYTES: usize = 250;
 /// Typed error for the facade's fallible paths.
 #[derive(Debug)]
 pub enum Error {
-    /// The [`TreeConfig`] violates a structural invariant.
+    /// The [`TreeConfig`] violates a structural invariant, or a stored
+    /// image records a configuration this build cannot open.
     InvalidConfig(String),
     /// The pool cannot hold the tree's initial footprint (or ran out of
     /// space). Sizes are zero when the allocator did not report them.
@@ -64,13 +52,6 @@ pub enum Error {
         /// keyspaces fill one shard long before the others, and an
         /// anonymous "pool is full" would hide that.
         shard: Option<usize>,
-    },
-    /// A byte-string key exceeds [`MAX_KEY_BYTES`].
-    KeyTooLarge {
-        /// Offered key length.
-        len: usize,
-        /// The accepted maximum.
-        max: usize,
     },
     /// The underlying pool file failed or holds an incompatible image.
     Io(std::io::Error),
@@ -146,9 +127,6 @@ impl fmt::Display for Error {
                 }
                 Ok(())
             }
-            Error::KeyTooLarge { len, max } => {
-                write!(f, "key of {len} bytes exceeds the {max}-byte limit")
-            }
             Error::Io(e) => write!(f, "pool I/O error: {e}"),
             Error::Poisoned => write!(f, "index lock poisoned by a panicking holder"),
             Error::Corrupt { what, offset } => {
@@ -198,25 +176,14 @@ impl<T> From<std::sync::PoisonError<T>> for Error {
     }
 }
 
-/// Rejects byte-string keys longer than [`MAX_KEY_BYTES`].
-pub fn check_key(key: &[u8]) -> Result<(), Error> {
-    if key.len() > MAX_KEY_BYTES {
-        return Err(Error::KeyTooLarge {
-            len: key.len(),
-            max: MAX_KEY_BYTES,
-        });
-    }
-    Ok(())
-}
-
 /// Fluent, validating constructor for every tree variant.
 ///
 /// Starts from the paper's FPTree preset ([`TreeConfig::fptree`], or
 /// [`TreeConfig::fptree_concurrent`] via [`TreeBuilder::concurrent`]) and
-/// lets callers override individual knobs. [`TreeBuilder::build`] validates
-/// both the configuration and the pool sizing *before* touching persistent
-/// state, so misuse surfaces as a typed [`Error`] instead of a panic deep in
-/// the layout or allocator code.
+/// lets callers override individual knobs. [`TreeBuilder::build_concurrent`]
+/// validates both the configuration and the pool sizing *before* touching
+/// persistent state, so misuse surfaces as a typed [`Error`] instead of a
+/// panic deep in the layout or allocator code.
 #[derive(Debug, Clone)]
 pub struct TreeBuilder {
     cfg: TreeConfig,
@@ -299,13 +266,6 @@ impl TreeBuilder {
         self
     }
 
-    /// Sets leaves per amortized allocation group (0 disables grouping;
-    /// forced to 0 by the concurrent build paths).
-    pub fn leaf_group_size(mut self, g: usize) -> TreeBuilder {
-        self.cfg.leaf_group_size = g;
-        self
-    }
-
     /// Sets the pool slot that will own the tree's metadata pointer
     /// (defaults to [`fptree_pmem::ROOT_SLOT`]).
     pub fn owner_slot(mut self, slot: u64) -> TreeBuilder {
@@ -338,18 +298,12 @@ impl TreeBuilder {
     }
 
     /// Validates the configuration and the pool's ability to hold the
-    /// tree's initial footprint (metadata block + first leaf or group).
-    fn check<K: KeyKind>(&self, cfg: &TreeConfig, pool: &PmemPool) -> Result<(), Error> {
-        cfg.try_validate().map_err(Error::InvalidConfig)?;
-        let layout = LeafLayout::new(cfg, K::SLOT_SIZE);
-        let n_logs = if cfg.leaf_group_size > 1 { 1 } else { 64 };
-        let first_alloc = if cfg.leaf_group_size > 1 {
-            // A leaf group: 64-byte header plus the member leaves.
-            64 + cfg.leaf_group_size * layout.size
-        } else {
-            layout.size
-        };
-        let required = (TreeMeta::byte_size(n_logs) + first_alloc) as u64 + 2 * BLOCK_HEADER_SIZE;
+    /// tree's initial footprint (metadata block + first leaf).
+    fn check<K: KeyKind>(&self, pool: &PmemPool) -> Result<(), Error> {
+        self.cfg.try_validate().map_err(Error::InvalidConfig)?;
+        let layout = LeafLayout::new(&self.cfg, K::SLOT_SIZE);
+        let required = (TreeMeta::byte_size(crate::concurrent::N_LOGS) + layout.size) as u64
+            + 2 * BLOCK_HEADER_SIZE;
         let available = (pool.capacity() as u64).saturating_sub(USER_BASE);
         if required > available {
             return Err(Error::PoolFull {
@@ -361,111 +315,35 @@ impl TreeBuilder {
         Ok(())
     }
 
-    /// Builds a single-threaded fixed-key tree ([`FpTree`]).
-    pub fn build(&self, pool: Arc<PmemPool>) -> Result<FpTree, Error> {
-        self.check::<crate::keys::FixedKey>(&self.cfg, &pool)?;
-        Ok(FPTreeInner::create(pool, self.cfg, self.owner_slot))
+    /// Builds a fixed-key tree.
+    pub fn build_concurrent(&self, pool: Arc<PmemPool>) -> Result<ConcurrentFPTree, Error> {
+        self.check::<crate::keys::FixedKey>(&pool)?;
+        Ok(ConcurrentFPTree::create(pool, self.cfg, self.owner_slot))
     }
 
-    /// Builds a single-threaded variable-key tree ([`FpTreeVar`]).
-    pub fn build_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeVar, Error> {
-        self.check::<crate::keys::VarKey>(&self.cfg, &pool)?;
-        Ok(FPTreeVarInner::create(pool, self.cfg, self.owner_slot))
+    /// Builds a variable-key tree.
+    pub fn build_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<ConcurrentFPTreeVar, Error> {
+        self.check::<crate::keys::VarKey>(&pool)?;
+        Ok(ConcurrentFPTreeVar::create(pool, self.cfg, self.owner_slot))
     }
 
-    /// Builds a single-threaded fixed-key tree pre-populated from
-    /// `entries` via the paper's bulk-load path: leaves are packed to a
-    /// 70% fill factor with sequential writes and one flush/fence set per
-    /// leaf instead of per key. Entries are sorted here; the first
-    /// occurrence of a duplicated key wins, matching
-    /// [`SingleTree::insert_batch`](crate::SingleTree::insert_batch).
-    pub fn bulk_load(&self, pool: Arc<PmemPool>, entries: &[(u64, u64)]) -> Result<FpTree, Error> {
-        self.check::<crate::keys::FixedKey>(&self.cfg, &pool)?;
-        let mut sorted = entries.to_vec();
-        sorted.sort_by_key(|e| e.0);
-        sorted.dedup_by(|next, kept| next.0 == kept.0);
-        Ok(FPTreeInner::bulk_load(
-            pool,
-            self.cfg,
-            self.owner_slot,
-            &sorted,
-        ))
-    }
-
-    /// Builds a single-threaded variable-key tree pre-populated from
-    /// `entries`; see [`TreeBuilder::bulk_load`]. Fails with
-    /// [`Error::KeyTooLarge`] if any key exceeds [`MAX_KEY_BYTES`].
-    pub fn bulk_load_var(
-        &self,
-        pool: Arc<PmemPool>,
-        entries: &[(Vec<u8>, u64)],
-    ) -> Result<FpTreeVar, Error> {
-        self.check::<crate::keys::VarKey>(&self.cfg, &pool)?;
-        for (key, _) in entries {
-            check_key(key)?;
-        }
-        let mut sorted = entries.to_vec();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        sorted.dedup_by(|next, kept| next.0 == kept.0);
-        Ok(FPTreeVarInner::bulk_load(
-            pool,
-            self.cfg,
-            self.owner_slot,
-            &sorted,
-        ))
-    }
-
-    /// Builds a concurrent fixed-key tree ([`FpTreeC`]); leaf grouping is
-    /// forced off (groups are a central synchronization point, §5).
-    pub fn build_concurrent(&self, pool: Arc<PmemPool>) -> Result<FpTreeC, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check::<crate::keys::FixedKey>(&cfg, &pool)?;
-        Ok(ConcurrentFPTree::create(pool, cfg, self.owner_slot))
-    }
-
-    /// Builds a concurrent variable-key tree ([`FpTreeCVar`]); leaf grouping
-    /// is forced off.
-    pub fn build_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeCVar, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check::<crate::keys::VarKey>(&cfg, &pool)?;
-        Ok(ConcurrentFPTreeVar::create(pool, cfg, self.owner_slot))
-    }
-
-    /// Opens (recovers) the single-threaded fixed-key tree owned by this
-    /// builder's owner slot, running the recovery pipeline on
+    /// Opens (recovers) the fixed-key tree owned by this builder's owner
+    /// slot, running the recovery pipeline on
     /// [`TreeBuilder::recovery_threads`] workers. The persisted
     /// configuration wins; the builder's config knobs are ignored.
-    pub fn open(&self, pool: Arc<PmemPool>) -> Result<FpTree, Error> {
-        FPTreeInner::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) the single-threaded variable-key tree at the owner
-    /// slot; see [`TreeBuilder::open`].
-    pub fn open_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeVar, Error> {
-        FPTreeVarInner::open_with(pool, self.owner_slot, self.recovery_threads)
-    }
-
-    /// Opens (recovers) the concurrent fixed-key tree at the owner slot;
-    /// see [`TreeBuilder::open`].
-    pub fn open_concurrent(&self, pool: Arc<PmemPool>) -> Result<FpTreeC, Error> {
+    pub fn open_concurrent(&self, pool: Arc<PmemPool>) -> Result<ConcurrentFPTree, Error> {
         ConcurrentFPTree::open_with(pool, self.owner_slot, self.recovery_threads)
     }
 
-    /// Opens (recovers) the concurrent variable-key tree at the owner slot;
-    /// see [`TreeBuilder::open`].
-    pub fn open_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<FpTreeCVar, Error> {
+    /// Opens (recovers) the variable-key tree at the owner slot; see
+    /// [`TreeBuilder::open_concurrent`].
+    pub fn open_concurrent_var(&self, pool: Arc<PmemPool>) -> Result<ConcurrentFPTreeVar, Error> {
         ConcurrentFPTreeVar::open_with(pool, self.owner_slot, self.recovery_threads)
     }
 
     /// Validates that `pools` matches [`TreeBuilder::shards`] and that every
     /// pool can hold a shard's initial footprint (shard-annotated errors).
-    fn check_sharded<K: KeyKind>(
-        &self,
-        cfg: &TreeConfig,
-        pools: &[Arc<PmemPool>],
-    ) -> Result<(), Error> {
+    fn check_sharded<K: KeyKind>(&self, pools: &[Arc<PmemPool>]) -> Result<(), Error> {
         if pools.is_empty() || pools.len() != self.shards {
             return Err(Error::InvalidConfig(format!(
                 "sharded build needs exactly shards()={} pools, got {}",
@@ -474,7 +352,7 @@ impl TreeBuilder {
             )));
         }
         for (i, pool) in pools.iter().enumerate() {
-            self.check::<K>(cfg, pool).map_err(|e| e.with_shard(i))?;
+            self.check::<K>(pool).map_err(|e| e.with_shard(i))?;
         }
         Ok(())
     }
@@ -488,10 +366,12 @@ impl TreeBuilder {
         &self,
         pools: Vec<Arc<PmemPool>>,
     ) -> Result<crate::shard::ShardedTree, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check_sharded::<crate::keys::FixedKey>(&cfg, &pools)?;
-        Ok(crate::shard::Sharded::create(pools, cfg, self.owner_slot))
+        self.check_sharded::<crate::keys::FixedKey>(&pools)?;
+        Ok(crate::shard::Sharded::create(
+            pools,
+            self.cfg,
+            self.owner_slot,
+        ))
     }
 
     /// Builds a keyspace-sharded concurrent variable-key tree
@@ -500,10 +380,12 @@ impl TreeBuilder {
         &self,
         pools: Vec<Arc<PmemPool>>,
     ) -> Result<crate::shard::ShardedTreeVar, Error> {
-        let mut cfg = self.cfg;
-        cfg.leaf_group_size = 0;
-        self.check_sharded::<crate::keys::VarKey>(&cfg, &pools)?;
-        Ok(crate::shard::Sharded::create(pools, cfg, self.owner_slot))
+        self.check_sharded::<crate::keys::VarKey>(&pools)?;
+        Ok(crate::shard::Sharded::create(
+            pools,
+            self.cfg,
+            self.owner_slot,
+        ))
     }
 
     /// Opens (recovers) a sharded fixed-key tree: every shard recovers
@@ -539,7 +421,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_capacity_leaves() {
-        let err = match TreeBuilder::new().leaf_capacity(0).build(pool(8 << 20)) {
+        let err = match TreeBuilder::new()
+            .leaf_capacity(0)
+            .build_concurrent(pool(8 << 20))
+        {
             Err(e) => e,
             Ok(_) => panic!("zero-capacity build must fail"),
         };
@@ -551,7 +436,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_misaligned_value_size() {
-        let err = match TreeBuilder::new().value_size(12).build(pool(8 << 20)) {
+        let err = match TreeBuilder::new()
+            .value_size(12)
+            .build_concurrent(pool(8 << 20))
+        {
             Err(e) => e,
             Ok(_) => panic!("misaligned value size must fail"),
         };
@@ -560,8 +448,8 @@ mod tests {
 
     #[test]
     fn builder_rejects_undersized_pool() {
-        // 8 KiB cannot hold metadata + a 16-leaf group of 56-entry leaves.
-        let err = match TreeBuilder::new().build(pool(8 << 10)) {
+        // 8 KiB cannot hold the 64-log metadata block plus a first leaf.
+        let err = match TreeBuilder::new().build_concurrent(pool(8 << 10)) {
             Err(e) => e,
             Ok(_) => panic!("undersized pool must fail"),
         };
@@ -580,10 +468,9 @@ mod tests {
 
     #[test]
     fn builder_builds_working_trees() {
-        let mut tree = TreeBuilder::new()
+        let tree = TreeBuilder::new()
             .leaf_capacity(8)
-            .leaf_group_size(0)
-            .build(pool(8 << 20))
+            .build_concurrent(pool(8 << 20))
             .unwrap();
         for i in 0..100u64 {
             assert!(tree.insert(&i, i * 10));
@@ -591,46 +478,6 @@ mod tests {
         assert_eq!(tree.get(&42), Some(420));
         assert_eq!(tree.len(), 100);
         tree.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn builder_concurrent_forces_groups_off() {
-        let tree = TreeBuilder::concurrent()
-            .leaf_group_size(16)
-            .build_concurrent(pool(16 << 20))
-            .unwrap();
-        assert_eq!(tree.config().leaf_group_size, 0);
-        assert!(tree.insert(&1, 1));
-        assert_eq!(tree.get(&1), Some(1));
-    }
-
-    #[test]
-    fn builder_bulk_load_sorts_and_dedups() {
-        // Unsorted input with an in-batch duplicate: first occurrence wins.
-        let entries: Vec<(u64, u64)> = vec![(30, 3), (10, 1), (20, 2), (10, 99)];
-        let tree = TreeBuilder::new()
-            .leaf_capacity(8)
-            .leaf_group_size(0)
-            .bulk_load(pool(8 << 20), &entries)
-            .unwrap();
-        assert_eq!(tree.len(), 3);
-        assert_eq!(tree.get(&10), Some(1));
-        assert_eq!(tree.get(&20), Some(2));
-        assert_eq!(tree.get(&30), Some(3));
-        tree.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn builder_bulk_load_var_rejects_oversized_keys() {
-        let entries = vec![(vec![0u8; MAX_KEY_BYTES + 1], 1)];
-        let err = match TreeBuilder::new()
-            .leaf_group_size(0)
-            .bulk_load_var(pool(8 << 20), &entries)
-        {
-            Err(e) => e,
-            Ok(_) => panic!("oversized key must fail"),
-        };
-        assert!(matches!(err, Error::KeyTooLarge { .. }), "{err:?}");
     }
 
     #[test]
@@ -661,13 +508,6 @@ mod tests {
             .build_sharded(pools)
             .unwrap_err();
         assert_eq!(err.shard(), Some(0), "{err:?}");
-    }
-
-    #[test]
-    fn check_key_enforces_memcached_limit() {
-        assert!(check_key(&[0u8; MAX_KEY_BYTES]).is_ok());
-        let err = check_key(&[0u8; MAX_KEY_BYTES + 1]).unwrap_err();
-        assert!(matches!(err, Error::KeyTooLarge { len: 251, max: 250 }));
     }
 
     #[test]

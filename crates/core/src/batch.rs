@@ -26,16 +26,13 @@
 //! sweeps crash fuses through batched schedules.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use fptree_htm::Abort;
 
 use crate::concurrent::{ConcKey, ConcurrentTree};
-use crate::groups::GroupMgr;
-use crate::inner::Node;
+use crate::ctx::Ctx;
 use crate::keys::KeyKind;
 use crate::metrics::{Counter, Op};
-use crate::single::{Ctx, Outcome, SingleTree};
 
 /// Sorts batch input and drops duplicate keys, keeping the **first**
 /// occurrence — the outcome a loop of single `insert` calls produces.
@@ -98,227 +95,6 @@ impl Ctx {
         self.metrics
             .add(Counter::RemoveBatchKeys, slots.len() as u64);
         bm
-    }
-}
-
-impl<K: KeyKind> SingleTree<K> {
-    /// Inserts many entries, grouping sorted runs by destination leaf so
-    /// each touched leaf pays **one** flush/fence set and one p-atomic
-    /// commit regardless of how many batch keys land in it.
-    ///
-    /// Semantically identical to looping [`SingleTree::insert`] over
-    /// `entries`: already-present keys are left untouched and the first
-    /// occurrence of an in-batch duplicate wins. Returns the number of
-    /// newly inserted keys.
-    pub fn insert_batch(&mut self, entries: &[(K::Owned, u64)]) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        if entries.len() == 1 {
-            // A single-entry batch is exactly a single insert, which has
-            // the cheaper one-publish append path (§5.12).
-            return self.insert(&entries[0].0, entries[0].1) as usize;
-        }
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Insert);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("insert_batch");
-        let sorted = sort_dedup::<K>(entries);
-        let mut inserted = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            // Each call consumes a nonempty prefix; keys cut short by a
-            // mid-run split re-route through the freshly updated index.
-            let (consumed, n) = self.insert_run(&sorted[i..]);
-            inserted += n;
-            i += consumed;
-        }
-        inserted
-    }
-
-    /// Applies the run at the front of `rest` — the longest sorted prefix
-    /// routing to one leaf — under a single descent: filters out present
-    /// keys, stages what fits, and splits at most once. Returns
-    /// `(consumed, inserted)`; consumption is always a nonempty prefix and
-    /// unconsumed keys re-route via the caller.
-    fn insert_run(&mut self, rest: &[(K::Owned, u64)]) -> (usize, usize) {
-        let dest = self.root.find_leaf(&rest[0].0);
-        let mut t = 1;
-        while t < rest.len() && self.root.find_leaf(&rest[t].0) == dest {
-            t += 1;
-        }
-        let run = &rest[..t];
-        let (ctx, groups, root) = (&self.ctx, &mut self.groups, &mut self.root);
-        let mut consumed = 0usize;
-        let mut count = 0usize;
-        let head = run[0].0.clone();
-        let mut leaf_op = |ctx: &Ctx, groups: &mut GroupMgr, off: u64| -> Outcome<K> {
-            let leaf = ctx.leaf(off);
-            // Staged runs reason about free slots and present keys from the
-            // slot array alone, so the append buffer must be compacted
-            // first (§5.12). No-op when the buffer is empty.
-            if leaf.wbuf_count() > 0 {
-                leaf.wbuf_fold::<K>();
-            }
-            let present: Vec<bool> = run
-                .iter()
-                .map(|(k, _)| leaf.find_slot::<K>(k).is_some())
-                .collect();
-            let fresh_total = present.iter().filter(|p| !**p).count();
-            if fresh_total == 0 {
-                consumed = t;
-                ctx.metrics.add(Counter::InsertExisting, t as u64);
-                return Outcome::Done(false);
-            }
-            let free = ctx.layout.m - leaf.count();
-            if fresh_total <= free {
-                let fresh: Vec<(K::Owned, u64)> = run
-                    .iter()
-                    .zip(&present)
-                    .filter(|(_, p)| !**p)
-                    .map(|(e, _)| e.clone())
-                    .collect();
-                ctx.insert_run_into_leaf::<K>(off, &fresh);
-                consumed = t;
-                count = fresh_total;
-                ctx.metrics
-                    .add(Counter::InsertExisting, (t - fresh_total) as u64);
-                return Outcome::Done(true);
-            }
-            if free > 0 {
-                // The run overflows a leaf that is not yet full: fill the
-                // free slots with the run's fresh prefix (one commit) and
-                // let the remainder re-route; `split_leaf` requires a full
-                // leaf, so the next round splits it.
-                let mut fill: Vec<(K::Owned, u64)> = Vec::with_capacity(free);
-                for (idx, entry) in run.iter().enumerate() {
-                    if present[idx] {
-                        consumed = idx + 1;
-                        continue;
-                    }
-                    if fill.len() == free {
-                        break;
-                    }
-                    fill.push(entry.clone());
-                    consumed = idx + 1;
-                }
-                ctx.insert_run_into_leaf::<K>(off, &fill);
-                count = fill.len();
-                let dups = present[..consumed].iter().filter(|p| **p).count();
-                ctx.metrics.add(Counter::InsertExisting, dups as u64);
-                return Outcome::Done(true);
-            }
-            // Overflow of a full leaf: split once, stage the fitting prefix
-            // of each half. Each half keeps at least ⌊m/2⌋ free slots
-            // (m ≥ 2), so at least one key lands and the caller's loop
-            // terminates.
-            let (split_key, new_off) = ctx.split_leaf::<K>(groups, off, 0);
-            let mut lo_free = ctx.layout.m - ctx.leaf(off).count();
-            let mut hi_free = ctx.layout.m - ctx.leaf(new_off).count();
-            let mut lo_take: Vec<(K::Owned, u64)> = Vec::new();
-            let mut hi_take: Vec<(K::Owned, u64)> = Vec::new();
-            for (idx, entry) in run.iter().enumerate() {
-                if present[idx] {
-                    consumed = idx + 1;
-                    continue;
-                }
-                let (cap, bucket) = if entry.0 > split_key {
-                    (&mut hi_free, &mut hi_take)
-                } else {
-                    (&mut lo_free, &mut lo_take)
-                };
-                if *cap == 0 {
-                    // Prefix rule: the rest re-routes via the caller.
-                    break;
-                }
-                *cap -= 1;
-                bucket.push(entry.clone());
-                consumed = idx + 1;
-            }
-            assert!(
-                consumed > 0,
-                "insert_batch: split produced no free slot (leaf capacity 1)"
-            );
-            if !lo_take.is_empty() {
-                ctx.insert_run_into_leaf::<K>(off, &lo_take);
-            }
-            if !hi_take.is_empty() {
-                ctx.insert_run_into_leaf::<K>(new_off, &hi_take);
-            }
-            count = lo_take.len() + hi_take.len();
-            let dups = present[..consumed].iter().filter(|p| **p).count();
-            ctx.metrics.add(Counter::InsertExisting, dups as u64);
-            Outcome::Split {
-                key: split_key,
-                right: Node::Leaf(new_off),
-                result: true,
-            }
-        };
-        let outcome = Self::descend(ctx, groups, root, &head, &mut leaf_op);
-        self.apply_root_outcome(outcome);
-        self.len += count;
-        (consumed, count)
-    }
-
-    /// Removes many keys, clearing each touched leaf's run with **one**
-    /// p-atomic bitmap write. Semantically identical to looping
-    /// [`SingleTree::remove`]; returns the number of keys removed.
-    pub fn remove_batch(&mut self, keys: &[K::Owned]) -> usize {
-        if keys.is_empty() {
-            return 0;
-        }
-        let metrics = Arc::clone(&self.ctx.metrics);
-        let _t = metrics.time_op(Op::Remove);
-        let checked = Arc::clone(&self.ctx.pool);
-        let _op = checked.begin_checked_op("remove_batch");
-        let mut sorted = keys.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        let mut removed = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            let (leaf_off, prev) = self.root.find_leaf_and_prev(&sorted[i]);
-            let mut j = i + 1;
-            while j < sorted.len() && self.root.find_leaf(&sorted[j]) == leaf_off {
-                j += 1;
-            }
-            let leaf = self.ctx.leaf(leaf_off);
-            // Compact buffered entries into slots so the per-key probes and
-            // the emptied-leaf (`bm == 0`) decision see every live key.
-            if leaf.wbuf_count() > 0 {
-                leaf.wbuf_fold::<K>();
-            }
-            let slots: Vec<usize> = sorted[i..j]
-                .iter()
-                .filter_map(|k| leaf.find_slot::<K>(k))
-                .collect();
-            metrics.add(Counter::RemoveMisses, ((j - i) - slots.len()) as u64);
-            if !slots.is_empty() {
-                let bm = self.ctx.remove_run_from_leaf::<K>(leaf_off, &slots);
-                removed += slots.len();
-                self.len -= slots.len();
-                if bm == 0 {
-                    let is_only_leaf = prev.is_none() && leaf.next().is_null();
-                    if !is_only_leaf {
-                        self.ctx
-                            .delete_leaf(Some(&mut self.groups), leaf_off, prev, 0);
-                        Self::remove_leaf_from_index(&mut self.root, &sorted[i]);
-                        // Collapse a single-child root chain.
-                        loop {
-                            match &mut self.root {
-                                Node::Inner(inner) if inner.children.len() == 1 => {
-                                    let only = inner.children.pop().expect("one child");
-                                    self.root = only;
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        removed
     }
 }
 
@@ -567,7 +343,7 @@ mod tests {
     use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 
     use crate::config::TreeConfig;
-    use crate::{ConcurrentFPTree, FPTree, FPTreeVar};
+    use crate::{ConcurrentFPTree, ConcurrentFPTreeVar};
 
     fn pool() -> Arc<PmemPool> {
         Arc::new(PmemPool::create(PoolOptions::direct(32 << 20)).unwrap())
@@ -581,8 +357,8 @@ mod tests {
 
     #[test]
     fn batch_matches_loop_inserts() {
-        let mut a = FPTree::create(pool(), small(), ROOT_SLOT);
-        let mut b = FPTree::create(pool(), small(), ROOT_SLOT);
+        let a = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
+        let b = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
         let entries: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 7919 % 1000, i)).collect();
         let mut loop_inserted = 0;
         for (k, v) in &entries {
@@ -591,8 +367,8 @@ mod tests {
         let batch_inserted = b.insert_batch(&entries);
         assert_eq!(batch_inserted, loop_inserted);
         assert_eq!(a.len(), b.len());
-        let av: Vec<_> = a.iter().collect();
-        let bv: Vec<_> = b.iter().collect();
+        let av: Vec<_> = a.scan(..).collect();
+        let bv: Vec<_> = b.scan(..).collect();
         assert_eq!(av, bv);
         b.check_consistency().unwrap();
     }
@@ -604,7 +380,7 @@ mod tests {
         let cfg = TreeConfig::fptree().with_leaf_capacity(32);
         let entries: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i * 10)).collect();
         let p1 = pool();
-        let mut one = FPTree::create(Arc::clone(&p1), cfg, ROOT_SLOT);
+        let one = ConcurrentFPTree::create(Arc::clone(&p1), cfg, ROOT_SLOT);
         p1.stats().reset();
         for (k, v) in &entries {
             one.insert(k, *v);
@@ -612,7 +388,7 @@ mod tests {
         let single_flushes = p1.stats().snapshot().persist_calls;
 
         let p2 = pool();
-        let mut many = FPTree::create(Arc::clone(&p2), cfg, ROOT_SLOT);
+        let many = ConcurrentFPTree::create(Arc::clone(&p2), cfg, ROOT_SLOT);
         p2.stats().reset();
         many.insert_batch(&entries);
         let batch_flushes = p2.stats().snapshot().persist_calls;
@@ -628,8 +404,8 @@ mod tests {
     #[test]
     fn remove_batch_matches_loop_removes() {
         let entries: Vec<(u64, u64)> = (0..300u64).map(|i| (i, i)).collect();
-        let mut a = FPTree::create(pool(), small(), ROOT_SLOT);
-        let mut b = FPTree::create(pool(), small(), ROOT_SLOT);
+        let a = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
+        let b = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
         a.insert_batch(&entries);
         b.insert_batch(&entries);
         let victims: Vec<u64> = (0..300u64).filter(|k| k % 3 != 0).collect();
@@ -639,15 +415,15 @@ mod tests {
         }
         assert_eq!(b.remove_batch(&victims), loop_removed);
         assert_eq!(a.len(), b.len());
-        let av: Vec<_> = a.iter().collect();
-        let bv: Vec<_> = b.iter().collect();
+        let av: Vec<_> = a.scan(..).collect();
+        let bv: Vec<_> = b.scan(..).collect();
         assert_eq!(av, bv);
         b.check_consistency().unwrap();
     }
 
     #[test]
     fn remove_batch_unlinks_emptied_leaves() {
-        let mut t = FPTree::create(pool(), small(), ROOT_SLOT);
+        let t = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
         let entries: Vec<(u64, u64)> = (0..200u64).map(|i| (i, i)).collect();
         t.insert_batch(&entries);
         let all: Vec<u64> = (0..200u64).collect();
@@ -659,7 +435,7 @@ mod tests {
 
     #[test]
     fn batch_first_duplicate_wins() {
-        let mut t = FPTree::create(pool(), small(), ROOT_SLOT);
+        let t = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
         let inserted = t.insert_batch(&[(5, 100), (5, 200), (7, 1), (5, 300)]);
         assert_eq!(inserted, 2);
         assert_eq!(t.get(&5), Some(100), "first occurrence wins");
@@ -668,7 +444,7 @@ mod tests {
 
     #[test]
     fn batch_skips_existing_keys() {
-        let mut t = FPTree::create(pool(), small(), ROOT_SLOT);
+        let t = ConcurrentFPTree::create(pool(), small(), ROOT_SLOT);
         t.insert(&10, 1);
         assert_eq!(t.insert_batch(&[(9, 9), (10, 999), (11, 11)]), 2);
         assert_eq!(t.get(&10), Some(1), "existing value untouched");
@@ -677,7 +453,7 @@ mod tests {
 
     #[test]
     fn var_key_batch_roundtrip() {
-        let mut t = FPTreeVar::create(pool(), small(), ROOT_SLOT);
+        let t = ConcurrentFPTreeVar::create(pool(), small(), ROOT_SLOT);
         let entries: Vec<(Vec<u8>, u64)> = (0..200u64)
             .map(|i| (format!("key-{i:05}").into_bytes(), i))
             .collect();

@@ -1,4 +1,6 @@
-//! The concurrent FPTree: Selective Concurrency (§4.4, Algorithms 1–8).
+//! The tree engine: the concurrent FPTree with Selective Concurrency (§4.4,
+//! Algorithms 1–8) and its recovery driver (Algorithm 9). The paper's
+//! single-threaded FPTree and PTree run on it as configuration presets.
 //!
 //! Work that touches only the transient part (traversal, inner-node updates)
 //! runs inside an emulated hardware transaction — an optimistic section of
@@ -43,13 +45,12 @@ use parking_lot::Mutex;
 
 use crate::api::Error;
 use crate::config::TreeConfig;
-use crate::groups::GroupMgr;
+use crate::ctx::Ctx;
 use crate::keys::{FixedKey, KeyKind, VarKey};
 use crate::layout::LeafLayout;
 use crate::meta::{TreeMeta, STATUS_READY};
 use crate::metrics::{Counter, Metrics, Op, RecoveryStats, Snapshot};
 use crate::scan::{ConcScan, ScanBounds};
-use crate::single::{Ctx, SingleTree};
 
 /// Traversal depth bound: a torn optimistic read can cycle; anything deeper
 /// than this is declared a conflict.
@@ -58,7 +59,7 @@ const MAX_DEPTH: usize = 64;
 /// Number of split/delete micro-logs (upper bound on concurrent structural
 /// operations; the paper indexes its micro-log arrays with lock-free
 /// queues).
-const N_LOGS: usize = 64;
+pub(crate) const N_LOGS: usize = 64;
 
 /// Key encoding for atomic (u64) inner-node slots.
 ///
@@ -175,7 +176,12 @@ enum WriteDecision {
     LeafEmpty { off: u64, prev: Option<u64> },
 }
 
-/// A concurrent, persistent, hybrid SCM-DRAM B+-Tree (the paper's FPTreeC).
+/// A concurrent, persistent, hybrid SCM-DRAM B+-Tree — the one tree
+/// engine. With [`TreeConfig::fptree_concurrent`] it is the paper's FPTreeC;
+/// the single-threaded configurations ([`TreeConfig::fptree`],
+/// [`TreeConfig::ptree`] and their `_var` forms: larger inner nodes, and for
+/// the PTree split arrays without fingerprints) are presets on the same
+/// engine.
 ///
 /// All operations take `&self` and are safe to call from many threads.
 ///
@@ -223,11 +229,10 @@ pub type ConcurrentFPTree = ConcurrentTree<FixedKey>;
 pub type ConcurrentFPTreeVar = ConcurrentTree<VarKey>;
 
 impl<K: ConcKey> ConcurrentTree<K> {
-    /// Creates a fresh concurrent tree (leaf groups are never used: they
-    /// would be a central synchronization point, §5).
+    /// Creates a fresh tree, publishing its metadata block into the owner
+    /// pointer at `owner_slot` (use [`fptree_pmem::ROOT_SLOT`] for the
+    /// pool's primary object).
     pub fn create(pool: Arc<PmemPool>, cfg: TreeConfig, owner_slot: u64) -> Self {
-        let mut cfg = cfg;
-        cfg.leaf_group_size = 0;
         cfg.validate();
         let checked = Arc::clone(&pool);
         let _op = checked.begin_checked_op("tree_create");
@@ -289,17 +294,16 @@ impl<K: ConcKey> ConcurrentTree<K> {
         }
         cfg.try_validate()
             .map_err(|e| Error::corrupt(format!("stored configuration: {e}"), meta.off))?;
-        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
-        let group_bytes = cfg
-            .leaf_group_size
-            .checked_mul(layout.size)
-            .and_then(|b| b.checked_add(crate::groups::GROUP_HEADER as usize));
-        if group_bytes.is_none_or(|b| b > pool.capacity()) {
-            return Err(Error::corrupt(
-                format!("stored leaf-group size {}", cfg.leaf_group_size),
-                meta.off,
-            ));
+        let groups = meta.leaf_group_size(&pool);
+        if groups > 1 {
+            // Images written by builds that allocated leaves in groups keep
+            // their leaves inside group blocks; this build frees leaves one
+            // by one and would corrupt the allocator.
+            return Err(Error::InvalidConfig(format!(
+                "image allocates leaves in groups of {groups}; leaf groups are not supported"
+            )));
         }
+        let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
         let ctx = Ctx {
             pool,
             cfg,
@@ -355,21 +359,21 @@ impl<K: ConcKey> ConcurrentTree<K> {
         }
     }
 
-    /// Rebuilds the volatile index from the audited leaf chain (recovery,
-    /// phases 2–4 of the pipeline shared with [`SingleTree`]). Not
-    /// thread-safe towards tree operations: callers own the tree.
+    /// Rebuilds the volatile index from the audited leaf chain (recovery
+    /// phases 2–4; see [`crate::ctx`]). Not thread-safe towards tree
+    /// operations: callers own the tree.
     fn rebuild_with(&self, threads: usize) -> Result<RecoveryStats, Error> {
         let ctx = &self.ctx;
         let mut stats = RecoveryStats::default();
 
         let t = Instant::now();
-        let chain = SingleTree::<K>::harvest_chain(ctx, threads)?;
+        let chain = ctx.harvest_chain()?;
         stats.harvest_us = t.elapsed().as_micros() as u64;
         stats.leaves = chain.len() as u64;
 
         let t = Instant::now();
-        let audits = SingleTree::<K>::audit_leaves(ctx, &chain, threads)?;
-        let (entries, _in_tree, len) = SingleTree::<K>::sweep(ctx, &chain, &audits);
+        let audits = ctx.audit_leaves::<K>(&chain, threads)?;
+        let (entries, len) = ctx.sweep::<K>(&chain, &audits);
         stats.audit_us = t.elapsed().as_micros() as u64;
         self.len.store(len, Ordering::Relaxed);
 
@@ -597,12 +601,6 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// scan appears exactly once.
     pub fn scan<R: std::ops::RangeBounds<K::Owned>>(&self, range: R) -> ConcScan<'_, K> {
         ConcScan::new(self, ScanBounds::new(range))
-    }
-
-    /// Range scan over `[lo, hi]`; results sorted. A convenience collect
-    /// over [`ConcurrentTree::scan`].
-    pub fn range(&self, lo: &K::Owned, hi: &K::Owned) -> Vec<(K::Owned, u64)> {
-        self.scan(lo.clone()..=hi.clone()).collect()
     }
 
     // ------------------------------------------------------------ writes
@@ -835,7 +833,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 }
                 // Persistent unlink + deallocation outside (Algorithm 6).
                 let li = self.take_log();
-                self.ctx.delete_leaf(None, off, prev, li);
+                self.ctx.delete_leaf(off, prev, li);
                 self.log_queue.push(li).ok();
                 if let Some(p) = prev {
                     self.ctx.leaf(p).unlock_version();
@@ -996,7 +994,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                     self.remove_from_parents(key, leaf_enc(off));
                 }
                 let li = self.take_log();
-                self.ctx.delete_leaf(None, off, prev, li);
+                self.ctx.delete_leaf(off, prev, li);
                 self.log_queue.push(li).ok();
                 if let Some(p) = prev {
                     self.ctx.leaf(p).unlock_version();
@@ -1020,8 +1018,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// Persistent leaf split (Algorithm 3) under the already-held leaf lock.
     pub(crate) fn split_locked_leaf(&self, off: u64) -> (K::Owned, u64) {
         let li = self.take_log();
-        let mut no_groups = GroupMgr::new(0);
-        let (split_key, new_off) = self.ctx.split_leaf::<K>(&mut no_groups, off, li);
+        let (split_key, new_off) = self.ctx.split_leaf::<K>(off, li);
         self.log_queue.push(li).ok();
         (split_key, new_off)
     }
@@ -1257,6 +1254,21 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let fanout = self.ctx.cfg.inner_fanout;
         let per_node = std::mem::size_of::<CNode>() + (2 * fanout + 1) * 8;
         self.nodes.lock().len() * per_node + self.intern.bytes()
+    }
+
+    /// Height of the volatile index, 0 for a lone leaf (quiescent contexts:
+    /// tests, stats).
+    pub fn height(&self) -> usize {
+        let mut enc = self.root.load(Ordering::Acquire);
+        let mut height = 0;
+        while !enc_is_leaf(enc) {
+            // SAFETY: non-leaf encodings are CNodes owned by `self.nodes`,
+            // which only drops them on tree drop or exclusive rebuild.
+            let node = unsafe { &*(enc as *const CNode) };
+            enc = node.children[0].load(Ordering::Acquire);
+            height += 1;
+        }
+        height
     }
 
     /// Leaf offsets in list order (quiescent contexts: tests, stats).

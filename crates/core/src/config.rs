@@ -3,9 +3,9 @@
 //! The paper tunes node sizes per tree (Table 1) and evaluates payload-size
 //! sensitivity (Appendix A), so leaf layout must be runtime-parameterized.
 //! Feature toggles express the design-principle ablations: the PTree is the
-//! FPTree minus fingerprints (plus split key/value arrays for scan locality),
-//! and leaf-group amortization is used by the single-threaded FPTree only
-//! (§5: groups are a central synchronization point and hinder scalability).
+//! FPTree minus fingerprints (plus split key/value arrays for scan locality).
+//! Every preset runs on the one tree engine, [`crate::ConcurrentTree`]; the
+//! single-threaded presets differ only in node sizes and leaf layout.
 
 /// Maximum number of entries per leaf: the validity bitmap must fit in one
 /// 8-byte word so it can be committed p-atomically.
@@ -37,9 +37,6 @@ pub struct TreeConfig {
     /// Keys and values in separate in-leaf arrays (PTree layout: better
     /// locality for linear key scans without fingerprints).
     pub split_arrays: bool,
-    /// Leaves per amortized allocation group; 0 or 1 disables grouping
-    /// (required for the concurrent version).
-    pub leaf_group_size: usize,
     /// Entries in the per-leaf persistent append buffer (W). Single-key
     /// inserts/updates append `(tag, key, value)` here with one persist and
     /// fold into regular slots only on overflow or split; 0 disables
@@ -65,14 +62,14 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: true,
             split_arrays: false,
-            leaf_group_size: 16,
             wbuf_entries: 8,
             swar_probe: true,
         }
     }
 
     /// Paper's concurrent FPTree configuration (fixed-size keys): smaller
-    /// inner nodes, no leaf groups.
+    /// inner nodes (large nodes raise the conflict probability of the
+    /// speculative sections).
     pub fn fptree_concurrent() -> Self {
         TreeConfig {
             leaf_capacity: 64,
@@ -80,7 +77,6 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: true,
             split_arrays: false,
-            leaf_group_size: 0,
             wbuf_entries: 8,
             swar_probe: true,
         }
@@ -95,7 +91,6 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: false,
             split_arrays: true,
-            leaf_group_size: 16,
             wbuf_entries: 0,
             swar_probe: true,
         }
@@ -140,12 +135,6 @@ impl TreeConfig {
     /// Sets the value (payload) size in bytes.
     pub fn with_value_size(mut self, v: usize) -> Self {
         self.value_size = v;
-        self
-    }
-
-    /// Sets the leaf group size (0 disables grouping).
-    pub fn with_leaf_group_size(mut self, g: usize) -> Self {
-        self.leaf_group_size = g;
         self
     }
 
@@ -215,7 +204,6 @@ mod tests {
         assert!(fp.fingerprints && !fp.split_arrays);
         let fpc = TreeConfig::fptree_concurrent();
         assert_eq!((fpc.leaf_capacity, fpc.inner_fanout), (64, 128));
-        assert_eq!(fpc.leaf_group_size, 0);
         let pt = TreeConfig::ptree();
         assert!(!pt.fingerprints && pt.split_arrays);
         assert_eq!(pt.leaf_capacity, 32);

@@ -3,11 +3,9 @@
 //! The paper's end-to-end experiments swap the index under memcached and
 //! under a prototype database's dictionary. These traits are that seam:
 //! every evaluated tree (FPTree, PTree, NV-Tree, wBTree, STXTree, hash map)
-//! implements them, directly for concurrent structures and through
-//! [`Locked`] for single-threaded ones (matching the paper's use of global
-//! locks around non-concurrent trees in memcached).
-
-use parking_lot::Mutex;
+//! implements them — the FPTree presets directly, single-threaded baselines
+//! behind a global lock (matching the paper's use of global locks around
+//! non-concurrent trees in memcached).
 
 /// A key-value index over fixed-size (u64) keys.
 pub trait U64Index: Send + Sync {
@@ -120,102 +118,6 @@ pub trait BytesIndex: Send + Sync {
     }
 }
 
-/// Global-lock adapter turning a single-threaded index into a shareable one.
-pub struct Locked<T>(pub Mutex<T>);
-
-impl<T> Locked<T> {
-    /// Wraps `inner` behind a global mutex.
-    pub fn new(inner: T) -> Self {
-        Locked(Mutex::new(inner))
-    }
-}
-
-impl U64Index for Locked<crate::FPTree> {
-    fn insert(&self, key: u64, value: u64) -> bool {
-        self.0.lock().insert(&key, value)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.lock().get(&key)
-    }
-    fn update(&self, key: u64, value: u64) -> bool {
-        self.0.lock().update(&key, value)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.lock().remove(&key)
-    }
-    fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        self.0.lock().insert_batch(entries)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> usize {
-        self.0.lock().remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let tree = self.0.lock();
-        keys.iter().map(|k| tree.get(k)).collect()
-    }
-    fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-    fn range(&self, lo: u64, hi: u64) -> Option<Vec<(u64, u64)>> {
-        Some(self.0.lock().range(&lo, &hi))
-    }
-    fn scan_from(&self, start: u64, count: usize) -> Option<Vec<(u64, u64)>> {
-        Some(self.0.lock().scan(start..).take(count).collect())
-    }
-    fn metrics_snapshot(&self) -> Option<crate::metrics::Snapshot> {
-        Some(self.0.lock().metrics_snapshot())
-    }
-}
-
-impl BytesIndex for Locked<crate::FPTreeVar> {
-    fn insert(&self, key: &[u8], value: u64) -> bool {
-        self.0.lock().insert(&key.to_vec(), value)
-    }
-    fn get(&self, key: &[u8]) -> Option<u64> {
-        self.0.lock().get(&key.to_vec())
-    }
-    fn update(&self, key: &[u8], value: u64) -> bool {
-        self.0.lock().update(&key.to_vec(), value)
-    }
-    fn remove(&self, key: &[u8]) -> bool {
-        self.0.lock().remove(&key.to_vec())
-    }
-    fn remove_if(&self, key: &[u8], expected: u64) -> bool {
-        // One guard across the compare and the remove makes this atomic.
-        let mut tree = self.0.lock();
-        match tree.get(&key.to_vec()) {
-            Some(v) if v == expected => tree.remove(&key.to_vec()),
-            _ => false,
-        }
-    }
-    fn update_if(&self, key: &[u8], expected: u64, value: u64) -> bool {
-        let mut tree = self.0.lock();
-        match tree.get(&key.to_vec()) {
-            Some(v) if v == expected => tree.update(&key.to_vec(), value),
-            _ => false,
-        }
-    }
-    fn insert_batch(&self, entries: &[(Vec<u8>, u64)]) -> usize {
-        self.0.lock().insert_batch(entries)
-    }
-    fn remove_batch(&self, keys: &[Vec<u8>]) -> usize {
-        self.0.lock().remove_batch(keys)
-    }
-    fn get_batch(&self, keys: &[Vec<u8>]) -> Vec<Option<u64>> {
-        let tree = self.0.lock();
-        keys.iter().map(|k| tree.get(k)).collect()
-    }
-    fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-    fn scan_from(&self, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
-        Some(self.0.lock().scan(start.to_vec()..).take(count).collect())
-    }
-    fn metrics_snapshot(&self) -> Option<crate::metrics::Snapshot> {
-        Some(self.0.lock().metrics_snapshot())
-    }
-}
-
 impl U64Index for crate::ConcurrentFPTree {
     fn insert(&self, key: u64, value: u64) -> bool {
         ConcurrentFPTreeExt::insert(self, key, value)
@@ -239,7 +141,7 @@ impl U64Index for crate::ConcurrentFPTree {
         crate::ConcurrentTree::len(self)
     }
     fn range(&self, lo: u64, hi: u64) -> Option<Vec<(u64, u64)>> {
-        Some(crate::ConcurrentTree::range(self, &lo, &hi))
+        Some(crate::ConcurrentTree::scan(self, lo..=hi).collect())
     }
     fn scan_from(&self, start: u64, count: usize) -> Option<Vec<(u64, u64)>> {
         Some(
@@ -312,23 +214,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn locked_fptree_implements_u64_index() {
-        let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
-        let idx: Box<dyn U64Index> = Box::new(Locked::new(crate::FPTree::create(
-            pool,
-            TreeConfig::fptree(),
-            ROOT_SLOT,
-        )));
-        assert!(idx.insert(1, 10));
-        assert!(!idx.insert(1, 11));
-        assert_eq!(idx.get(1), Some(10));
-        assert!(idx.update(1, 12));
-        assert!(idx.remove(1));
-        assert!(idx.is_empty());
-        assert_eq!(idx.range(0, 10), Some(vec![]));
-    }
-
-    #[test]
     fn concurrent_fptree_implements_u64_index() {
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(16 << 20)).unwrap());
         let idx: Box<dyn U64Index> = Box::new(crate::ConcurrentFPTree::create(
@@ -346,11 +231,11 @@ mod tests {
     #[test]
     fn bytes_index_impls() {
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(32 << 20)).unwrap());
-        let idx: Box<dyn BytesIndex> = Box::new(Locked::new(crate::FPTreeVar::create(
+        let idx: Box<dyn BytesIndex> = Box::new(crate::ConcurrentFPTreeVar::create(
             pool,
             TreeConfig::fptree_var(),
             ROOT_SLOT,
-        )));
+        ));
         assert!(idx.insert(b"alpha", 1));
         assert_eq!(idx.get(b"alpha"), Some(1));
         assert!(idx.insert(b"beta", 2));

@@ -297,7 +297,6 @@ mod tests {
                     value_size: 8,
                     fingerprints: fps,
                     split_arrays: split,
-                    leaf_group_size: 0,
                     wbuf_entries: 4,
                     swar_probe: true,
                 };

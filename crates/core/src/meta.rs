@@ -3,17 +3,16 @@
 //! Every tree owns one persistent metadata block holding:
 //!
 //! * a status word (detects crashes during initialization, Algorithm 9);
-//! * the persisted configuration (so [`open`](crate::SingleTree::open) can
-//!   validate and reconstruct the layout without the caller re-supplying it);
-//! * the head of the leaf linked list and, when leaf groups are enabled, the
-//!   head of the group list;
+//! * the persisted configuration (so [`open`](crate::ConcurrentTree::open)
+//!   can validate and reconstruct the layout without the caller
+//!   re-supplying it);
+//! * the head of the leaf linked list;
 //! * the micro-log arrays: fixed-position, cache-line-aligned pairs of
 //!   persistent pointers that make leaf splits and deletes crash-atomic
-//!   (§5). The concurrent tree owns an array of each, indexed through a
-//!   lock-free queue; the single-threaded tree uses index 0.
+//!   (§5), indexed through a lock-free queue.
 //!
-//! Micro-log commit convention: each log's *first* pointer (`PCurrentLeaf` /
-//! `PNewGroup` / `PCurrentGroup`) acts as the commit record — recovery
+//! Micro-log commit convention: each log's *first* pointer (`PCurrentLeaf`)
+//! acts as the commit record — recovery
 //! trusts the second pointer only after observing the first as non-null, and
 //! writers persist the first pointer before (separately from) the second, so
 //! the word-granularity crash model can never fabricate a half-valid log.
@@ -33,16 +32,13 @@ const M_LEAF_CAP: u64 = 8;
 const M_VALUE_SIZE: u64 = 16;
 const M_FLAGS: u64 = 24;
 const M_HEAD: u64 = 32; // RawPPtr: head of the leaf linked list
-const M_GROUPS_HEAD: u64 = 48; // RawPPtr: head of the leaf-group list
+/// Leaves per allocation group in images written by builds that grouped
+/// leaves; always 0 here. Read only to refuse such images.
 const M_GROUP_SIZE: u64 = 64;
 const M_NLOGS: u64 = 72;
 const M_INNER_FANOUT: u64 = 80;
 const M_KEY_SLOT: u64 = 88;
 const M_WBUF_ENTRIES: u64 = 96;
-/// GetLeaf micro-log (Algorithm 10): one pointer, own cache line.
-const M_GETLEAF_LOG: u64 = 128;
-/// FreeLeaf micro-log (Algorithm 12): two pointers, own cache line.
-const M_FREELEAF_LOG: u64 = 192;
 /// Split/delete log arrays start here, 64 bytes per log.
 const M_LOGS: u64 = 256;
 
@@ -103,7 +99,6 @@ impl TreeMeta {
             flags |= FLAG_SWAR_PROBE;
         }
         pool.write_word(off + M_FLAGS, flags);
-        pool.write_word(off + M_GROUP_SIZE, cfg.leaf_group_size as u64);
         pool.write_word(off + M_NLOGS, n_logs as u64);
         pool.write_word(off + M_INNER_FANOUT, cfg.inner_fanout as u64);
         pool.write_word(off + M_KEY_SLOT, key_slot as u64);
@@ -149,12 +144,17 @@ impl TreeMeta {
             value_size: pool.read_word(self.off + M_VALUE_SIZE) as usize,
             fingerprints: flags & FLAG_FINGERPRINTS != 0,
             split_arrays: flags & FLAG_SPLIT_ARRAYS != 0,
-            leaf_group_size: pool.read_word(self.off + M_GROUP_SIZE) as usize,
             wbuf_entries: pool.read_word(self.off + M_WBUF_ENTRIES) as usize,
             swar_probe: flags & FLAG_SWAR_PROBE != 0,
         };
         let key_slot = pool.read_word(self.off + M_KEY_SLOT) as usize;
         (cfg, key_slot, flags & FLAG_VAR_KEYS != 0)
+    }
+
+    /// Leaf-group size recorded by the image (0 for every image this build
+    /// writes; larger values mark grouped-leaf images it cannot open).
+    pub fn leaf_group_size(&self, pool: &PmemPool) -> u64 {
+        pool.read_word(self.off + M_GROUP_SIZE)
     }
 
     /// Current status word.
@@ -185,36 +185,6 @@ impl TreeMeta {
         self.off + M_HEAD
     }
 
-    /// Head of the leaf-group list.
-    pub fn groups_head(&self, pool: &PmemPool) -> RawPPtr {
-        pool.read_at(self.off + M_GROUPS_HEAD)
-    }
-
-    /// Persists the group-list head.
-    pub fn set_groups_head(&self, pool: &PmemPool, head: RawPPtr) {
-        pool.write_publish_at(self.off + M_GROUPS_HEAD, &head);
-        pool.persist(self.off + M_GROUPS_HEAD, 16);
-    }
-
-    /// Pool offset of the group-list head field.
-    pub fn groups_head_slot(&self) -> u64 {
-        self.off + M_GROUPS_HEAD
-    }
-
-    /// The GetLeaf micro-log (Algorithm 10).
-    pub fn getleaf_log(&self) -> PtrLog {
-        PtrLog {
-            base: self.off + M_GETLEAF_LOG,
-        }
-    }
-
-    /// The FreeLeaf micro-log (Algorithm 12).
-    pub fn freeleaf_log(&self) -> PairLog {
-        PairLog {
-            base: self.off + M_FREELEAF_LOG,
-        }
-    }
-
     /// Split micro-log `i` (`PCurrentLeaf`, `PNewLeaf`).
     pub fn split_log(&self, i: usize) -> PairLog {
         assert!(i < self.n_logs);
@@ -232,30 +202,6 @@ impl TreeMeta {
     }
 }
 
-/// A micro-log holding one persistent pointer (GetLeaf's `PNewGroup`).
-#[derive(Debug, Clone, Copy)]
-pub struct PtrLog {
-    base: u64,
-}
-
-impl PtrLog {
-    /// The logged pointer.
-    pub fn ptr(&self, pool: &PmemPool) -> RawPPtr {
-        pool.read_at(self.base)
-    }
-
-    /// Pool offset of the pointer field (allocator owner slot).
-    pub fn ptr_slot(&self) -> u64 {
-        self.base
-    }
-
-    /// Resets the log.
-    pub fn reset(&self, pool: &PmemPool) {
-        pool.write_publish_at(self.base, &RawPPtr::NULL);
-        pool.persist(self.base, 16);
-    }
-}
-
 /// A micro-log holding two persistent pointers.
 ///
 /// The first pointer is the commit record: it is persisted on its own before
@@ -267,12 +213,12 @@ pub struct PairLog {
 }
 
 impl PairLog {
-    /// First pointer (`PCurrentLeaf` / `PCurrentGroup`).
+    /// First pointer (`PCurrentLeaf`).
     pub fn first(&self, pool: &PmemPool) -> RawPPtr {
         pool.read_at(self.base)
     }
 
-    /// Second pointer (`PNewLeaf` / `PPrevLeaf` / `PPrevGroup`).
+    /// Second pointer (`PNewLeaf` / `PPrevLeaf`).
     pub fn second(&self, pool: &PmemPool) -> RawPPtr {
         pool.read_at(self.base + 16)
     }
@@ -344,11 +290,9 @@ mod tests {
         let mut bases: Vec<u64> = (0..4)
             .flat_map(|i| [meta.split_log(i).base, meta.delete_log(i).base])
             .collect();
-        bases.push(meta.getleaf_log().base);
-        bases.push(meta.freeleaf_log().base);
         bases.sort();
         bases.dedup();
-        assert_eq!(bases.len(), 10);
+        assert_eq!(bases.len(), 8);
         for w in bases.windows(2) {
             assert!(w[1] - w[0] >= 64, "logs share a cache line");
         }
@@ -383,9 +327,7 @@ mod tests {
         let h = RawPPtr::new(p.file_id(), 0x4040);
         meta.set_head(&p, h);
         assert_eq!(meta.head(&p), h);
-        assert!(meta.groups_head(&p).is_null());
-        meta.set_groups_head(&p, h);
-        assert_eq!(meta.groups_head(&p), h);
+        assert_eq!(meta.leaf_group_size(&p), 0);
     }
 
     #[test]

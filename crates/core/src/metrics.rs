@@ -110,7 +110,7 @@ pub enum Counter {
     InnerSplits = 6,
     /// Leaves allocated (splits, tree creation, bulk load).
     LeafAllocs = 7,
-    /// Leaves unlinked and freed (or returned to their group).
+    /// Leaves unlinked and freed.
     LeafFrees = 8,
     /// Recovery rebuilds of the transient inner nodes (`open`).
     RecoveryRebuilds = 9,
@@ -290,20 +290,19 @@ impl Counter {
 }
 
 /// Per-phase wall-clock breakdown of one recovery (`open`) run, reported by
-/// [`crate::SingleTree::recovery_stats`] and
 /// [`crate::ConcurrentTree::recovery_stats`].
 ///
 /// Phases of the parallel pipeline, in order: micro-log **replay** (serial),
-/// leaf-set **harvest** via the group directory or chain walk, the parallel
+/// leaf-chain **harvest** (serial walk), the parallel
 /// lock-reset/**audit**/count pass, and the level-by-level inner-node
 /// **build**. Durations are microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Worker threads the audit and build phases ran on.
     pub threads: usize,
-    /// Micro-log replay (getleaf/freeleaf/split/delete), microseconds.
+    /// Micro-log replay (split/delete), microseconds.
     pub replay_us: u64,
-    /// Leaf-set harvest + chain stitch, microseconds.
+    /// Leaf-chain walk, microseconds.
     pub harvest_us: u64,
     /// Parallel leaf audit (lock reset, Algorithm-17 audit, counts) plus
     /// the serial empty-leaf unlink sweep, microseconds.

@@ -8,24 +8,18 @@
 //! ([`MAX_LEAF_CAPACITY`] slots, of which only the configured leaf capacity
 //! is ever used) before handing them out one by one.
 //!
-//! Two iterators share that machinery:
-//!
-//! * [`Scan`] — the single-threaded variant; the tree is externally
-//!   synchronized (`&self` with no concurrent writers), so leaf reads need
-//!   no validation.
-//! * [`ConcScan`] — the concurrent variant. Each leaf read is validated
-//!   against the leaf's 8-byte sequence lock, and leaf-to-leaf hops are
-//!   validated *hand-over-hand*: after reading leaf `M` reached through
-//!   `L.next`, the reader re-checks `L`'s version. Unlinking `M` always
-//!   locks `L` (the unlink rewrites `L.next` under `L`'s lock), so an
-//!   unchanged `L` proves `M` was `L`'s live successor for the whole read —
-//!   a recycled leaf can never be mistaken for a chain member. On any
-//!   version conflict the hop is retried a bounded number of times, then
-//!   the scan re-seeks from the root by the last emitted key inside a
-//!   globally validated speculative section (the same protocol as `get`).
-//!   A monotonic emission filter (only keys strictly greater than the last
-//!   yielded key) keeps the output sorted and duplicate-free across
-//!   re-seeks, so scans never block writers and never observe torn leaves.
+//! [`ConcScan`] validates each leaf read against the leaf's 8-byte sequence
+//! lock, and validates leaf-to-leaf hops *hand-over-hand*: after reading
+//! leaf `M` reached through `L.next`, the reader re-checks `L`'s version.
+//! Unlinking `M` always locks `L` (the unlink rewrites `L.next` under `L`'s
+//! lock), so an unchanged `L` proves `M` was `L`'s live successor for the
+//! whole read — a recycled leaf can never be mistaken for a chain member.
+//! On any version conflict the hop is retried a bounded number of times,
+//! then the scan re-seeks from the root by the last emitted key inside a
+//! globally validated speculative section (the same protocol as `get`). A
+//! monotonic emission filter (only keys strictly greater than the last
+//! yielded key) keeps the output sorted and duplicate-free across re-seeks,
+//! so scans never block writers and never observe torn leaves.
 
 use std::ops::{Bound, RangeBounds};
 
@@ -33,10 +27,8 @@ use fptree_htm::Abort;
 
 use crate::concurrent::{ConcKey, ConcurrentTree};
 use crate::config::MAX_LEAF_CAPACITY;
-use crate::inner::Node;
 use crate::keys::KeyKind;
 use crate::metrics::{Counter, Op, OpTimer};
-use crate::single::Ctx;
 
 /// Bounded retries of a leaf-chain hop before the scan falls back to a
 /// re-seek from the root (mirrors the HTM retry-then-fallback shape).
@@ -200,106 +192,6 @@ impl<K: KeyKind> LeafBuf<K> {
         }
         self.live &= !(1 << best);
         self.slots[best].take()
-    }
-}
-
-// ------------------------------------------------------- single-threaded
-
-/// Sorted streaming iterator over a range of a `SingleTree`.
-///
-/// Seeks the first leaf through the transient inner nodes, then walks the
-/// persistent leaf chain, buffering one sorted leaf at a time — O(leaf)
-/// memory regardless of range length.
-pub struct Scan<'a, K: KeyKind> {
-    ctx: &'a Ctx,
-    bounds: ScanBounds<K>,
-    buf: LeafBuf<K>,
-    /// Next leaf offset to gather; 0 when the chain walk is finished.
-    next_leaf: u64,
-    /// Previously gathered leaf; receives a successor sentinel once the
-    /// current leaf's minimum key is known. 0 before the first gather.
-    prev_leaf: u64,
-    /// Times the scan over the iterator's whole lifetime.
-    _timer: OpTimer<'a>,
-}
-
-impl<'a, K: KeyKind> Scan<'a, K> {
-    pub(crate) fn new(ctx: &'a Ctx, root: &Node<K>, bounds: ScanBounds<K>) -> Self {
-        let timer = ctx.metrics.time_op(Op::Scan);
-        ctx.metrics.inc(Counter::ScanSeeks);
-        let next_leaf = if bounds.is_empty() {
-            0
-        } else {
-            match bounds.seek_key() {
-                Some(k) => root.find_leaf(k),
-                None => ctx.meta.head(&ctx.pool).offset,
-            }
-        };
-        Scan {
-            ctx,
-            bounds,
-            buf: LeafBuf::new(),
-            next_leaf,
-            prev_leaf: 0,
-            _timer: timer,
-        }
-    }
-}
-
-impl<K: KeyKind> Iterator for Scan<'_, K> {
-    type Item = (K::Owned, u64);
-
-    fn next(&mut self) -> Option<(K::Owned, u64)> {
-        loop {
-            if let Some(item) = self.buf.pop() {
-                self.ctx.metrics.inc(Counter::ScanEntries);
-                return Some(item);
-            }
-            if self.next_leaf == 0 {
-                return None;
-            }
-            let off = self.next_leaf;
-            let leaf = self.ctx.leaf(off);
-            leaf.touch_head();
-            leaf.touch_key_scan();
-            self.buf.clear();
-            let mut past_hi = false;
-            let mut min_enc: Option<u64> = None;
-            for (k, v) in leaf.collect_merged::<K>() {
-                let enc = K::prefix64(&k);
-                if min_enc.is_none_or(|m| enc < m) {
-                    min_enc = Some(enc);
-                }
-                if self.bounds.past_hi(&k) {
-                    past_hi = true;
-                } else if self.bounds.above_lo(&k) {
-                    self.buf.insert(k, v);
-                }
-            }
-            // Refresh the predecessor's successor sentinel: this leaf's
-            // minimum key is exactly what a future lookup or scan needs to
-            // short-circuit a hop without touching these SCM-resident keys.
-            if let (true, Some(enc)) = (self.prev_leaf != 0, min_enc) {
-                self.ctx
-                    .leaf(self.prev_leaf)
-                    .sentinel_store(enc, off, leaf.version_word());
-            }
-            self.prev_leaf = off;
-            let next = leaf.next();
-            self.next_leaf = if past_hi || next.is_null() {
-                0
-            } else if leaf
-                .sentinel_succ_min()
-                .is_some_and(|enc| self.bounds.hop_blocked(enc))
-            {
-                // The cached successor minimum proves every remaining key
-                // lies past the upper bound — stop without gathering it.
-                self.ctx.metrics.inc(Counter::ScanSentinelStops);
-                0
-            } else {
-                next.offset
-            };
-        }
     }
 }
 

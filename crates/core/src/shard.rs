@@ -343,11 +343,6 @@ where
         }
     }
 
-    /// Inclusive range `[lo, hi]`, collected in key order.
-    pub fn range(&self, lo: &K::Owned, hi: &K::Owned) -> Vec<(K::Owned, u64)> {
-        self.scan(lo.clone()..=hi.clone()).collect()
-    }
-
     /// Per-shard fill levels as `(live_bytes, usable_capacity)` — the data
     /// a skewed keyspace shows up in first. Shards whose heap walk fails
     /// (mid-crash images) report zero live bytes.
@@ -471,7 +466,7 @@ impl crate::index::U64Index for ShardedTree {
         Sharded::len(self)
     }
     fn range(&self, lo: u64, hi: u64) -> Option<Vec<(u64, u64)>> {
-        Some(Sharded::range(self, &lo, &hi))
+        Some(Sharded::scan(self, lo..=hi).collect())
     }
     fn scan_from(&self, start: u64, count: usize) -> Option<Vec<(u64, u64)>> {
         Some(Sharded::scan(self, start..).take(count).collect())

@@ -84,7 +84,7 @@ fn range_scan_single_thread() {
     for i in (0..500u64).step_by(5) {
         t.insert(&i, i);
     }
-    let r = t.range(&100, &200);
+    let r: Vec<(u64, u64)> = t.scan(100..=200).collect();
     let keys: Vec<u64> = r.iter().map(|(k, _)| *k).collect();
     let expect: Vec<u64> = (0..500)
         .step_by(5)
@@ -351,7 +351,7 @@ fn crash_recovery_concurrent_tree() {
             t2.check_consistency()
                 .unwrap_or_else(|e| panic!("fuse {fuse} seed {seed}: {e}"));
             // Values must remain bound to their keys.
-            for (k, v) in t2.range(&0, &1000) {
+            for (k, v) in t2.scan(0..=1000) {
                 assert!(
                     v == k || v == k + 100,
                     "fuse {fuse}: key {k} has foreign value {v}"
@@ -404,15 +404,16 @@ fn open_checks_key_kind() {
     assert!(matches!(r, Err(fptree_core::Error::Corrupt { .. })));
 }
 
-/// The single-threaded and concurrent trees must agree on semantics.
+/// The concurrent preset and the PTree preset (split arrays, no
+/// fingerprints, no append buffer) must agree on semantics.
 #[test]
-fn agrees_with_single_threaded_tree() {
+fn presets_agree_on_semantics() {
     let pc = pool(64);
     let ps = pool(64);
     let tc = ConcurrentFPTree::create(pc, small_cfg(), ROOT_SLOT);
-    let mut ts = fptree_core::FPTree::create(
+    let ts = ConcurrentFPTree::create(
         ps,
-        TreeConfig::fptree()
+        TreeConfig::ptree()
             .with_leaf_capacity(4)
             .with_inner_fanout(4),
         ROOT_SLOT,
@@ -428,6 +429,10 @@ fn agrees_with_single_threaded_tree() {
         }
     }
     assert_eq!(tc.len(), ts.len());
+    assert_eq!(
+        tc.scan(..).collect::<Vec<_>>(),
+        ts.scan(..).collect::<Vec<_>>()
+    );
     tc.check_consistency().unwrap();
     ts.check_consistency().unwrap();
 }

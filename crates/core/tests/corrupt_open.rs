@@ -4,14 +4,13 @@
 
 use std::sync::Arc;
 
-use fptree_core::keys::FixedKey;
-use fptree_core::{ConcurrentFPTree, Error, FPTree, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, Error, TreeConfig};
 use fptree_pmem::{PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
 
 /// A durable image holding a small but multi-leaf fixed-key tree.
 fn built_image() -> Vec<u8> {
     let pool = Arc::new(PmemPool::create(PoolOptions::tracked(8 << 20)).expect("pool"));
-    let mut t = SingleTree::<FixedKey>::create(
+    let t = ConcurrentFPTree::create(
         Arc::clone(&pool),
         TreeConfig::fptree()
             .with_leaf_capacity(4)
@@ -30,7 +29,7 @@ fn reopen(img: Vec<u8>) -> Arc<PmemPool> {
 }
 
 #[track_caller]
-fn assert_corrupt(r: Result<FPTree, Error>) {
+fn assert_corrupt(r: Result<ConcurrentFPTree, Error>) {
     match r {
         Err(Error::Corrupt { .. }) => {}
         Err(other) => panic!("expected Error::Corrupt, got {other}"),
@@ -41,11 +40,11 @@ fn assert_corrupt(r: Result<FPTree, Error>) {
 #[test]
 fn empty_pool_has_no_tree() {
     // A fresh (all-null user area) pool: the owner slot is zeroed, which is
-    // "no tree here", a typed error, for both variants.
+    // "no tree here", a typed error, for both key kinds.
     let pool = Arc::new(PmemPool::create(PoolOptions::tracked(4 << 20)).expect("pool"));
-    assert_corrupt(FPTree::open(Arc::clone(&pool), ROOT_SLOT));
+    assert_corrupt(ConcurrentFPTree::open(Arc::clone(&pool), ROOT_SLOT));
     assert!(matches!(
-        ConcurrentFPTree::open(pool, ROOT_SLOT),
+        fptree_core::ConcurrentFPTreeVar::open(pool, ROOT_SLOT),
         Err(Error::Corrupt { .. })
     ));
 }
@@ -55,7 +54,7 @@ fn bogus_owner_slot_is_rejected() {
     let pool = reopen(built_image());
     // Null, unaligned, and out-of-range owner slots.
     for slot in [0u64, ROOT_SLOT + 3, pool.capacity() as u64 + 64] {
-        assert_corrupt(FPTree::open(Arc::clone(&pool), slot));
+        assert_corrupt(ConcurrentFPTree::open(Arc::clone(&pool), slot));
     }
 }
 
@@ -65,19 +64,36 @@ fn garbage_owner_pointer_is_rejected() {
     for bogus in [13u64, u64::MAX - 7, 8, 4096] {
         let pool = reopen(built_image());
         pool.write_publish_at(ROOT_SLOT, &RawPPtr::new(pool.file_id(), bogus));
-        assert_corrupt(FPTree::open(pool, ROOT_SLOT));
+        assert_corrupt(ConcurrentFPTree::open(pool, ROOT_SLOT));
     }
 }
 
 #[test]
 fn garbage_metadata_words_are_rejected() {
     // Corrupt individual metadata words: the micro-log count (field at
-    // +72), the leaf capacity (+8), and the group size (+64).
-    for (field, value) in [(72u64, u64::MAX), (72, 0), (8, 1 << 40), (64, u64::MAX / 2)] {
+    // +72) and the leaf capacity (+8).
+    for (field, value) in [(72u64, u64::MAX), (72, 0), (8, 1 << 40)] {
         let pool = reopen(built_image());
         let owner: RawPPtr = pool.read_at(ROOT_SLOT);
         pool.write_word(owner.offset + field, value);
-        assert_corrupt(FPTree::open(pool, ROOT_SLOT));
+        assert_corrupt(ConcurrentFPTree::open(pool, ROOT_SLOT));
+    }
+}
+
+#[test]
+fn grouped_leaf_image_is_refused() {
+    // Images that allocated leaves in groups record the group size in the
+    // metadata word at +64. This build frees leaves one by one, so it must
+    // refuse such an image with a typed error instead of misreading it.
+    for groups in [2u64, 16, u64::MAX / 2] {
+        let pool = reopen(built_image());
+        let owner: RawPPtr = pool.read_at(ROOT_SLOT);
+        pool.write_word(owner.offset + 64, groups);
+        match ConcurrentFPTree::open(pool, ROOT_SLOT) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("group"), "{msg}"),
+            Err(other) => panic!("groups {groups}: expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("groups {groups}: grouped image opened"),
+        }
     }
 }
 
@@ -89,16 +105,16 @@ fn garbage_leaf_head_is_rejected() {
         let pool = reopen(built_image());
         let owner: RawPPtr = pool.read_at(ROOT_SLOT);
         pool.write_publish_at(owner.offset + 32, &RawPPtr::new(pool.file_id(), bogus));
-        assert_corrupt(FPTree::open(pool, ROOT_SLOT));
+        assert_corrupt(ConcurrentFPTree::open(pool, ROOT_SLOT));
     }
 }
 
 #[test]
 fn key_kind_mismatch_is_rejected() {
-    // A fixed-key image opened as a var-key tree (and vice versa is covered
-    // in single_tree.rs): typed error, not a panic or a misread tree.
+    // A fixed-key image opened as a var-key tree: typed error, not a panic
+    // or a misread tree.
     let pool = reopen(built_image());
-    let r = fptree_core::FPTreeVar::open(pool, ROOT_SLOT);
+    let r = fptree_core::ConcurrentFPTreeVar::open(pool, ROOT_SLOT);
     assert!(matches!(r, Err(Error::Corrupt { .. })));
 }
 
@@ -114,7 +130,7 @@ fn truncated_image_is_a_typed_error() {
         t.truncate(keep);
         match PmemPool::reopen(t, PoolOptions::tracked(0)) {
             Err(_) => {} // typed pool-layer rejection
-            Ok(pool) => match FPTree::open(Arc::new(pool), ROOT_SLOT) {
+            Ok(pool) => match ConcurrentFPTree::open(Arc::new(pool), ROOT_SLOT) {
                 Err(Error::Corrupt { .. }) => {}
                 Err(other) => panic!("expected Error::Corrupt, got {other}"),
                 Ok(tree) => {
@@ -144,7 +160,7 @@ fn zeroed_and_garbage_images_are_typed_errors() {
         .collect();
     match PmemPool::reopen(garbage, PoolOptions::tracked(0)) {
         Err(_) => {}
-        Ok(pool) => assert_corrupt(FPTree::open(Arc::new(pool), ROOT_SLOT)),
+        Ok(pool) => assert_corrupt(ConcurrentFPTree::open(Arc::new(pool), ROOT_SLOT)),
     }
 }
 
@@ -153,7 +169,7 @@ fn corrupt_open_reports_offset_and_what() {
     // The typed error carries enough context to be actionable.
     let pool = reopen(built_image());
     pool.write_publish_at(ROOT_SLOT, &RawPPtr::new(pool.file_id(), 13));
-    match FPTree::open(pool, ROOT_SLOT) {
+    match ConcurrentFPTree::open(pool, ROOT_SLOT) {
         Err(Error::Corrupt { what, offset }) => {
             assert!(!what.is_empty());
             assert_eq!(offset, 13);

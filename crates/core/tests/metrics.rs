@@ -1,5 +1,5 @@
 //! Metrics-oracle integration tests: exact counter values against a known
-//! single-threaded workload, sum-consistency across 8 threads, and the
+//! single-threaded workload on the paper's single-threaded FPTree preset, sum-consistency across 8 threads, and the
 //! snapshot's JSON serialization round-tripped through a real tree.
 //!
 //! Every test runs under both feature configurations: with `metrics` (the
@@ -11,8 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use fptree_core::keys::FixedKey;
-use fptree_core::{ConcurrentFPTree, Metrics, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, Metrics, TreeConfig};
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 
 fn pool(mb: usize) -> Arc<PmemPool> {
@@ -22,7 +21,7 @@ fn pool(mb: usize) -> Arc<PmemPool> {
 /// Exact per-op and outcome counters for a fixed single-threaded workload.
 #[test]
 fn single_threaded_counter_oracle() {
-    let mut t = SingleTree::<FixedKey>::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
     for k in 0..100u64 {
         t.insert(&k, k);
     }
@@ -172,7 +171,7 @@ fn reset_clears_all_shards() {
 /// every field appears exactly once with its value.
 #[test]
 fn tree_snapshot_json_round_trip() {
-    let mut t = SingleTree::<FixedKey>::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
     for k in 0..200u64 {
         t.insert(&k, k);
     }
@@ -203,9 +202,8 @@ fn tree_snapshot_json_round_trip() {
 /// Merging two snapshots sums shared fields and appends new ones.
 #[test]
 fn merge_sums_shared_fields() {
-    let a = SingleTree::<FixedKey>::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
-    let b = SingleTree::<FixedKey>::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
-    let (mut a, mut b) = (a, b);
+    let a = ConcurrentFPTree::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
+    let b = ConcurrentFPTree::create(pool(64), TreeConfig::fptree(), ROOT_SLOT);
     for k in 0..10u64 {
         a.insert(&k, k);
     }

@@ -5,22 +5,19 @@
 use std::sync::Arc;
 
 use fptree_core::keys::{FixedKey, VarKey};
-use fptree_core::{SingleTree, TreeConfig};
+use fptree_core::{ConcKey, ConcurrentTree, TreeConfig};
 use fptree_pmem::{crash_is_injected, PmemPool, PoolOptions, ROOT_SLOT};
 use proptest::prelude::*;
 
-fn crash_mid_workload<K: fptree_core::KeyKind>(
+fn crash_mid_workload<K: ConcKey>(
     mk: &impl Fn(u64) -> K::Owned,
     fuse: u64,
-    group: usize,
+    preset: TreeConfig,
 ) -> Vec<u8> {
     let pool = Arc::new(PmemPool::create(PoolOptions::tracked(64 << 20)).expect("pool"));
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(group);
-        let mut t = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let cfg = preset.with_leaf_capacity(4).with_inner_fanout(4);
+        let t = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         pool.set_crash_fuse(Some(fuse));
         for i in 0..100u64 {
             t.insert(&mk(i), i);
@@ -39,19 +36,20 @@ fn crash_mid_workload<K: fptree_core::KeyKind>(
     pool.crash_image(fuse ^ 0x5EED)
 }
 
-fn double_crash_recovers<K: fptree_core::KeyKind>(
+fn double_crash_recovers<K: ConcKey>(
     mk: impl Fn(u64) -> K::Owned,
     fuse1: u64,
     fuse2: u64,
-    group: usize,
+    preset: TreeConfig,
 ) {
-    let image = crash_mid_workload::<K>(&mk, fuse1, group);
+    let image = crash_mid_workload::<K>(&mk, fuse1, preset);
 
     // First recovery attempt, itself crashed after `fuse2` events.
     let pool = Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0)).expect("reopen"));
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pool.set_crash_fuse(Some(fuse2));
-        SingleTree::<K>::open(Arc::clone(&pool), ROOT_SLOT).expect("recovery reported corruption")
+        ConcurrentTree::<K>::open(Arc::clone(&pool), ROOT_SLOT)
+            .expect("recovery reported corruption")
     }));
     pool.set_crash_fuse(None);
     let first_recovery_crashed = match r {
@@ -71,7 +69,7 @@ fn double_crash_recovers<K: fptree_core::KeyKind>(
     // Second recovery from whatever the first one left behind.
     let image2 = pool.crash_image(fuse2 ^ 0xDEAD);
     let pool2 = Arc::new(PmemPool::reopen(image2, PoolOptions::tracked(0)).expect("reopen2"));
-    let t = SingleTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     t.check_consistency().unwrap_or_else(|e| {
         panic!("double-crash recovery inconsistent (fuse1 {fuse1}, fuse2 {fuse2}, first_crashed {first_recovery_crashed}): {e}")
     });
@@ -82,7 +80,7 @@ proptest! {
 
     #[test]
     fn fixed_keys_double_crash(fuse1 in 20u64..1200, fuse2 in 1u64..120) {
-        double_crash_recovers::<FixedKey>(|k| k, fuse1, fuse2, 2);
+        double_crash_recovers::<FixedKey>(|k| k, fuse1, fuse2, TreeConfig::fptree());
     }
 
     #[test]
@@ -91,13 +89,13 @@ proptest! {
             |k| format!("rk:{k:05}").into_bytes(),
             fuse1,
             fuse2,
-            2,
+            TreeConfig::fptree_var(),
         );
     }
 
     #[test]
-    fn fixed_keys_double_crash_no_groups(fuse1 in 20u64..1200, fuse2 in 1u64..120) {
-        double_crash_recovers::<FixedKey>(|k| k, fuse1, fuse2, 0);
+    fn fixed_keys_double_crash_ptree(fuse1 in 20u64..1200, fuse2 in 1u64..120) {
+        double_crash_recovers::<FixedKey>(|k| k, fuse1, fuse2, TreeConfig::ptree());
     }
 }
 
@@ -114,37 +112,31 @@ fn cases(default: u32) -> u32 {
 type Snapshot<K> = (
     Vec<(<K as fptree_core::KeyKind>::Owned, u64)>,
     Vec<u64>,
-    (Vec<u64>, usize),
     usize,
 );
 
-fn recovery_snapshot<K: fptree_core::KeyKind>(image: Vec<u8>, threads: usize) -> Snapshot<K> {
+fn recovery_snapshot<K: ConcKey>(image: Vec<u8>, threads: usize) -> Snapshot<K> {
     let pool = Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0)).expect("reopen"));
-    let t = SingleTree::<K>::open_with(Arc::clone(&pool), ROOT_SLOT, threads).expect("recover");
+    let t = ConcurrentTree::<K>::open_with(Arc::clone(&pool), ROOT_SLOT, threads).expect("recover");
     t.check_consistency().expect("recovered tree consistent");
-    (
-        t.iter().collect(),
-        t.leaf_offsets(),
-        t.group_state(),
-        t.len(),
-    )
+    (t.scan(..).collect(), t.leaf_offsets(), t.len())
 }
 
 /// Differential fuzz: recovering the same crash image with 1 worker and with
 /// N > 1 workers must produce bit-identical logical state — same contents,
-/// same leaf chain, same group directory, same length.
-fn parallel_recovery_matches_serial<K: fptree_core::KeyKind>(
+/// same leaf chain, same length.
+fn parallel_recovery_matches_serial<K: ConcKey>(
     mk: impl Fn(u64) -> K::Owned,
     fuse: u64,
-    group: usize,
+    preset: TreeConfig,
 ) {
-    let image = crash_mid_workload::<K>(&mk, fuse, group);
+    let image = crash_mid_workload::<K>(&mk, fuse, preset);
     let serial = recovery_snapshot::<K>(image.clone(), 1);
     for threads in [2usize, 4] {
         let parallel = recovery_snapshot::<K>(image.clone(), threads);
         assert_eq!(
             serial, parallel,
-            "threads {threads} diverged from serial (fuse {fuse}, group {group})"
+            "threads {threads} diverged from serial (fuse {fuse})"
         );
     }
 }
@@ -154,7 +146,7 @@ proptest! {
 
     #[test]
     fn fixed_keys_differential(fuse in 20u64..1500) {
-        parallel_recovery_matches_serial::<FixedKey>(|k| k, fuse, 2);
+        parallel_recovery_matches_serial::<FixedKey>(|k| k, fuse, TreeConfig::fptree());
     }
 
     #[test]
@@ -162,7 +154,7 @@ proptest! {
         parallel_recovery_matches_serial::<VarKey>(
             |k| format!("rk:{k:05}").into_bytes(),
             fuse,
-            2,
+            TreeConfig::fptree_var(),
         );
     }
 }
@@ -171,8 +163,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: cases(20), ..ProptestConfig::default() })]
 
     #[test]
-    fn fixed_keys_differential_no_groups(fuse in 20u64..1500) {
-        parallel_recovery_matches_serial::<FixedKey>(|k| k, fuse, 0);
+    fn fixed_keys_differential_ptree(fuse in 20u64..1500) {
+        parallel_recovery_matches_serial::<FixedKey>(|k| k, fuse, TreeConfig::ptree());
     }
 }
 
@@ -182,11 +174,12 @@ proptest! {
 fn recovery_is_deterministic() {
     let mk = |k: u64| k;
     for fuse in [137u64, 419, 977] {
-        let image = crash_mid_workload::<FixedKey>(&mk, fuse, 2);
+        let image = crash_mid_workload::<FixedKey>(&mk, fuse, TreeConfig::fptree());
         let snap = |img: Vec<u8>| -> Vec<(u64, u64)> {
             let pool = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).expect("reopen"));
-            let t = SingleTree::<FixedKey>::open(Arc::clone(&pool), ROOT_SLOT).expect("recover");
-            t.range(&0, &u64::MAX)
+            let t =
+                ConcurrentTree::<FixedKey>::open(Arc::clone(&pool), ROOT_SLOT).expect("recover");
+            t.scan(..).collect()
         };
         let a = snap(image.clone());
         let b = snap(image);

@@ -1,15 +1,15 @@
 //! Tests for the ordered range-scan subsystem: bound handling on the
-//! single-threaded trees, and seqlock-validated scans racing writers on
-//! the concurrent tree.
+//! single-threaded presets, and seqlock-validated scans racing writers on
+//! the concurrent preset.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use fptree_core::concurrent::{ConcurrentFPTree, ConcurrentTree};
+use fptree_core::concurrent::{ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
 use fptree_core::keys::FixedKey;
-use fptree_core::{FPTree, FPTreeVar, TreeConfig};
+use fptree_core::TreeConfig;
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
 
@@ -21,7 +21,6 @@ fn small_cfg() -> TreeConfig {
     TreeConfig::fptree()
         .with_leaf_capacity(4)
         .with_inner_fanout(4)
-        .with_leaf_group_size(4)
 }
 
 fn conc_cfg() -> TreeConfig {
@@ -33,8 +32,8 @@ fn conc_cfg() -> TreeConfig {
 /// Every bound combination agrees with `BTreeMap::range` on a tree whose
 /// keys land mid-leaf, at leaf boundaries, and past the ends.
 #[test]
-fn single_tree_bounds_match_btreemap() {
-    let mut t = FPTree::create(pool(32), small_cfg(), ROOT_SLOT);
+fn scan_bounds_match_btreemap() {
+    let t = ConcurrentFPTree::create(pool(32), small_cfg(), ROOT_SLOT);
     let mut model = BTreeMap::new();
     // Sparse keys so probe points fall between keys too.
     for i in 0..400u64 {
@@ -78,8 +77,8 @@ fn single_tree_bounds_match_btreemap() {
 }
 
 #[test]
-fn single_tree_scan_skips_deleted_and_sees_updates() {
-    let mut t = FPTree::create(pool(32), small_cfg(), ROOT_SLOT);
+fn scan_skips_deleted_and_sees_updates() {
+    let t = ConcurrentFPTree::create(pool(32), small_cfg(), ROOT_SLOT);
     for i in 0..200u64 {
         t.insert(&i, i);
     }
@@ -104,7 +103,7 @@ fn single_tree_scan_skips_deleted_and_sees_updates() {
 
 #[test]
 fn var_key_scan_is_byte_ordered() {
-    let mut t = FPTreeVar::create(pool(64), TreeConfig::fptree_var(), ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(pool(64), TreeConfig::fptree_var(), ROOT_SLOT);
     let mut model = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(7);
     for i in 0..500u64 {
@@ -125,7 +124,7 @@ fn var_key_scan_is_byte_ordered() {
 
 #[test]
 fn scan_on_empty_tree() {
-    let t = FPTree::create(pool(16), small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool(16), small_cfg(), ROOT_SLOT);
     assert!(t.scan(..).next().is_none());
     let c = ConcurrentFPTree::create(pool(16), conc_cfg(), ROOT_SLOT);
     assert!(c.scan(..).next().is_none());
@@ -142,8 +141,8 @@ fn batched_writes_scan_like_loop_writes() {
     let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k + 7)).collect();
     let dead: Vec<u64> = keys.iter().copied().filter(|k| k % 6 == 0).collect();
 
-    // Fixed keys, single-threaded (leaf groups) vs concurrent.
-    let mut looped = FPTree::create(pool(32), small_cfg(), ROOT_SLOT);
+    // Fixed keys: single-threaded preset vs concurrent preset.
+    let looped = ConcurrentFPTree::create(pool(32), small_cfg(), ROOT_SLOT);
     for &(k, v) in &entries {
         assert!(looped.insert(&k, v));
     }
@@ -152,7 +151,7 @@ fn batched_writes_scan_like_loop_writes() {
     }
     let want: Vec<(u64, u64)> = looped.scan(..).collect();
 
-    let mut batched = FPTree::create(pool(32), small_cfg(), ROOT_SLOT);
+    let batched = ConcurrentFPTree::create(pool(32), small_cfg(), ROOT_SLOT);
     for chunk in entries.chunks(64) {
         assert_eq!(batched.insert_batch(chunk), chunk.len());
     }
@@ -176,10 +175,9 @@ fn batched_writes_scan_like_loop_writes() {
     let key = |k: u64| format!("{k:08}").into_bytes();
     let var_cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
-        .with_inner_fanout(4)
-        .with_leaf_group_size(4);
-    let mut var_looped = FPTreeVar::create(pool(64), var_cfg, ROOT_SLOT);
-    let mut var_batched = FPTreeVar::create(pool(64), var_cfg, ROOT_SLOT);
+        .with_inner_fanout(4);
+    let var_looped = ConcurrentFPTreeVar::create(pool(64), var_cfg, ROOT_SLOT);
+    let var_batched = ConcurrentFPTreeVar::create(pool(64), var_cfg, ROOT_SLOT);
     let var_entries: Vec<(Vec<u8>, u64)> = entries.iter().map(|&(k, v)| (key(k), v)).collect();
     let var_dead: Vec<Vec<u8>> = dead.iter().map(|&k| key(k)).collect();
     for (k, v) in &var_entries {
@@ -208,9 +206,8 @@ fn scan_sees_buffered_entries() {
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(16)
         .with_inner_fanout(4)
-        .with_leaf_group_size(4)
         .with_wbuf_entries(8);
-    let mut t = FPTree::create(pool(32), cfg, ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool(32), cfg, ROOT_SLOT);
     // Five buffered inserts, out of order; all stay in the buffer.
     for k in [40u64, 10, 30, 50, 20] {
         assert!(t.insert(&k, k + 1));
@@ -453,7 +450,7 @@ fn sentinel_short_circuits_bounded_rescans() {
     // entries while doing so.
     let p = pool(8);
     let t = {
-        let mut t = FPTree::create(Arc::clone(&p), small_cfg(), ROOT_SLOT);
+        let t = ConcurrentFPTree::create(Arc::clone(&p), small_cfg(), ROOT_SLOT);
         for i in 0..64u64 {
             assert!(t.insert(&i, i + 7));
         }
@@ -480,7 +477,7 @@ fn sentinel_short_circuits_bounded_rescans() {
     // Scalar fallback: sentinels are disabled with the SWAR probe, so the
     // same double-scan stays correct and never records a sentinel stop.
     let p2 = pool(8);
-    let mut t2 = FPTree::create(
+    let t2 = ConcurrentFPTree::create(
         Arc::clone(&p2),
         small_cfg().with_swar_probe(false),
         ROOT_SLOT,

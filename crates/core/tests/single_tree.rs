@@ -1,9 +1,9 @@
-//! Functional and crash-recovery tests for the single-threaded trees
-//! (FPTree, PTree, fixed and variable keys).
+//! Functional and crash-recovery tests for the paper's single-threaded
+//! presets (FPTree, PTree, fixed and variable keys) on the one tree engine.
 
 use std::sync::Arc;
 
-use fptree_core::{FPTree, FPTreeVar, SingleTree, TreeConfig};
+use fptree_core::{ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree, TreeConfig};
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
 
@@ -20,13 +20,12 @@ fn small_cfg() -> TreeConfig {
     TreeConfig::fptree()
         .with_leaf_capacity(4)
         .with_inner_fanout(4)
-        .with_leaf_group_size(4)
 }
 
 #[test]
 fn insert_find_roundtrip() {
     let pool = direct_pool(32);
-    let mut t = FPTree::create(pool, TreeConfig::fptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, TreeConfig::fptree(), ROOT_SLOT);
     for i in 0..1000u64 {
         assert!(t.insert(&i, i * 2), "insert {i}");
     }
@@ -41,7 +40,7 @@ fn insert_find_roundtrip() {
 #[test]
 fn duplicate_insert_rejected() {
     let pool = direct_pool(8);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     assert!(t.insert(&7, 1));
     assert!(!t.insert(&7, 2));
     assert_eq!(t.get(&7), Some(1));
@@ -51,14 +50,14 @@ fn duplicate_insert_rejected() {
 #[test]
 fn random_order_inserts_stay_sorted() {
     let pool = direct_pool(32);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     let mut keys: Vec<u64> = (0..2000).collect();
     keys.shuffle(&mut StdRng::seed_from_u64(1));
     for &k in &keys {
         t.insert(&k, k + 1);
     }
     t.check_consistency().unwrap();
-    let all = t.range(&0, &u64::MAX);
+    let all: Vec<(u64, u64)> = t.scan(..).collect();
     assert_eq!(all.len(), 2000);
     for (i, (k, v)) in all.iter().enumerate() {
         assert_eq!(*k, i as u64);
@@ -69,7 +68,7 @@ fn random_order_inserts_stay_sorted() {
 #[test]
 fn update_changes_value_in_place() {
     let pool = direct_pool(16);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     for i in 0..500u64 {
         t.insert(&i, i);
     }
@@ -90,7 +89,7 @@ fn update_on_full_leaf_splits() {
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(4)
         .with_inner_fanout(8);
-    let mut t = FPTree::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
     for i in 0..4u64 {
         t.insert(&i, i);
     }
@@ -104,7 +103,7 @@ fn update_on_full_leaf_splits() {
 #[test]
 fn remove_and_reinsert() {
     let pool = direct_pool(32);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     for i in 0..1000u64 {
         t.insert(&i, i);
     }
@@ -127,7 +126,7 @@ fn remove_and_reinsert() {
 #[test]
 fn drain_to_empty_and_refill() {
     let pool = direct_pool(16);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     for round in 0..3 {
         for i in 0..300u64 {
             assert!(t.insert(&i, i + round), "round {round} insert {i}");
@@ -145,26 +144,28 @@ fn drain_to_empty_and_refill() {
 #[test]
 fn range_scans() {
     let pool = direct_pool(16);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     for i in (0..1000u64).step_by(3) {
         t.insert(&i, i);
     }
-    let r = t.range(&100, &200);
+    let r: Vec<(u64, u64)> = t.scan(100..=200).collect();
     let expect: Vec<u64> = (0..1000)
         .step_by(3)
         .filter(|k| (100..=200).contains(k))
         .collect();
     assert_eq!(r.iter().map(|(k, _)| *k).collect::<Vec<_>>(), expect);
-    assert!(t.range(&2000, &3000).is_empty());
-    assert!(t.range(&200, &100).is_empty(), "inverted range is empty");
-    let one = t.range(&99, &99);
+    assert!(t.scan(2000..=3000).next().is_none());
+    #[allow(clippy::reversed_empty_ranges)]
+    let inverted = t.scan(200..=100).next();
+    assert!(inverted.is_none(), "inverted range is empty");
+    let one: Vec<(u64, u64)> = t.scan(99..=99).collect();
     assert_eq!(one, vec![(99, 99)]);
 }
 
 #[test]
 fn ptree_config_works_without_fingerprints() {
     let pool = direct_pool(32);
-    let mut t = FPTree::create(pool, TreeConfig::ptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, TreeConfig::ptree(), ROOT_SLOT);
     for i in 0..2000u64 {
         t.insert(&(i * 7 % 2000), i);
     }
@@ -178,7 +179,7 @@ fn var_keys_roundtrip() {
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTreeVar::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(pool, cfg, ROOT_SLOT);
     for i in 0..500u64 {
         let key = format!("user:{i:06}").into_bytes();
         assert!(t.insert(&key, i));
@@ -210,7 +211,7 @@ fn var_keys_no_blob_leak_after_churn() {
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for round in 0..3u64 {
         for i in 0..200u64 {
             t.insert(&format!("k{i:04}").into_bytes(), round);
@@ -223,23 +224,15 @@ fn var_keys_no_blob_leak_after_churn() {
         }
     }
     // Every key blob must be gone: live blocks are only tree infrastructure
-    // (metadata + groups), bounded and key-free.
-    let live = pool.live_blocks().unwrap();
-    let usage = t.memory_usage();
-    let infra: u64 = live.iter().map(|&(_, s)| s).sum();
-    assert!(
-        infra <= usage.scm_bytes + 4096,
-        "leaked blobs: {} bytes live vs {} accounted",
-        infra,
-        usage.scm_bytes
-    );
+    // (metadata + leaves), bounded and key-free.
+    t.leak_audit().expect("no leaked key blobs");
     assert_eq!(t.len(), 0);
 }
 
 #[test]
 fn clean_reopen_recovers_everything() {
     let pool = tracked_pool(64);
-    let mut t = FPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
     for i in 0..800u64 {
         t.insert(&i, i * 3);
     }
@@ -250,7 +243,7 @@ fn clean_reopen_recovers_everything() {
     drop(t);
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t2 = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     assert_eq!(t2.len(), expected_len);
     for i in 0..800u64 {
         let expect = if i % 5 == 0 { None } else { Some(i * 3) };
@@ -265,14 +258,14 @@ fn clean_reopen_var_keys() {
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for i in 0..300u64 {
         t.insert(&format!("key:{i:05}").into_bytes(), i);
     }
     drop(t);
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = FPTreeVar::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t2 = ConcurrentFPTreeVar::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     assert_eq!(t2.len(), 300);
     for i in 0..300u64 {
         assert_eq!(t2.get(&format!("key:{i:05}").into_bytes()), Some(i));
@@ -293,14 +286,13 @@ fn crash_at_every_point_var_keys() {
     crash_torture::<fptree_core::VarKey>(|i| format!("key{i:05}").into_bytes(), 120);
 }
 
-fn crash_torture<K: fptree_core::KeyKind>(mk: impl Fn(u64) -> K::Owned, max_fuse: u64) {
+fn crash_torture<K: fptree_core::ConcKey>(mk: impl Fn(u64) -> K::Owned, max_fuse: u64) {
     // A workload whose tail mixes splits, updates, deletes, leaf deletes.
-    let run = |pool: &Arc<PmemPool>, upto: usize| -> (SingleTree<K>, Vec<(K::Owned, u64)>) {
+    let run = |pool: &Arc<PmemPool>, upto: usize| -> (ConcurrentTree<K>, Vec<(K::Owned, u64)>) {
         let cfg = TreeConfig::fptree()
             .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(2);
-        let mut t = SingleTree::<K>::create(Arc::clone(pool), cfg, ROOT_SLOT);
+            .with_inner_fanout(4);
+        let t = ConcurrentTree::<K>::create(Arc::clone(pool), cfg, ROOT_SLOT);
         let mut model: Vec<(K::Owned, u64)> = Vec::new();
         let ops: Vec<(u8, u64)> = (0..40u64)
             .map(|i| (0u8, i))
@@ -355,15 +347,14 @@ fn crash_torture<K: fptree_core::KeyKind>(mk: impl Fn(u64) -> K::Owned, max_fuse
         for seed in [11u64, 97] {
             let img = pool.crash_image(seed);
             let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-            let t2 = SingleTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+            let t2 = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
             t2.check_consistency()
                 .unwrap_or_else(|e| panic!("fuse {fuse} seed {seed}: inconsistent: {e}"));
             // Atomicity: every present key maps to a value the workload
             // wrote for it at some point (insert i or update i+100).
             // (We cannot know exactly which ops committed, but values are
             // bound to keys, so cross-key corruption is detectable.)
-            let all = t2.range(&t2_min::<K>(&mk), &t2_max::<K>(&mk));
-            for (k, v) in &all {
+            for (k, v) in &t2.scan(..).collect::<Vec<_>>() {
                 let i = v % 100;
                 assert_eq!(
                     *k,
@@ -380,34 +371,27 @@ fn crash_torture<K: fptree_core::KeyKind>(mk: impl Fn(u64) -> K::Owned, max_fuse
     drop(t);
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = SingleTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t2 = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     assert_eq!(t2.len(), model.len());
     for (k, v) in &model {
         assert_eq!(t2.get(k), Some(*v));
     }
 }
 
-fn t2_min<K: fptree_core::KeyKind>(mk: &impl Fn(u64) -> K::Owned) -> K::Owned {
-    mk(0)
-}
-
-fn t2_max<K: fptree_core::KeyKind>(mk: &impl Fn(u64) -> K::Owned) -> K::Owned {
-    mk(99_999)
-}
-
 #[test]
 fn memory_usage_reports_selective_persistence() {
     let pool = direct_pool(64);
-    let mut t = FPTree::create(pool, TreeConfig::fptree(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), TreeConfig::fptree(), ROOT_SLOT);
     for i in 0..50_000u64 {
         t.insert(&i, i);
     }
-    let mu = t.memory_usage();
-    assert!(mu.leaf_count > 500);
-    assert!(mu.scm_bytes > 0 && mu.dram_bytes > 0);
+    assert!(t.leaf_offsets().len() > 500);
+    let scm = pool.alloc_stats().unwrap().live_bytes;
+    let dram = t.dram_bytes() as u64;
+    assert!(scm > 0 && dram > 0);
     // Headline claim: DRAM is a small fraction of the total (paper: <3% at
     // paper-scale fanouts; generous bound here).
-    let frac = mu.dram_bytes as f64 / (mu.scm_bytes + mu.dram_bytes) as f64;
+    let frac = dram as f64 / (scm + dram) as f64;
     assert!(frac < 0.10, "DRAM fraction {frac:.3} too large");
 }
 
@@ -416,8 +400,8 @@ fn multiple_trees_in_one_pool() {
     let pool = direct_pool(64);
     // A directory block with two owner slots.
     let dir = pool.allocate(ROOT_SLOT, 64).unwrap();
-    let mut a = FPTree::create(Arc::clone(&pool), small_cfg(), dir);
-    let mut b = FPTree::create(Arc::clone(&pool), small_cfg(), dir + 16);
+    let a = ConcurrentFPTree::create(Arc::clone(&pool), small_cfg(), dir);
+    let b = ConcurrentFPTree::create(Arc::clone(&pool), small_cfg(), dir + 16);
     for i in 0..200u64 {
         a.insert(&i, i);
         b.insert(&i, i + 1_000_000);
@@ -431,11 +415,11 @@ fn multiple_trees_in_one_pool() {
 #[test]
 fn open_rejects_key_kind_mismatch() {
     let pool = tracked_pool(16);
-    let t = FPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
     drop(t);
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let r = FPTreeVar::open(pool2, ROOT_SLOT);
+    let r = ConcurrentFPTreeVar::open(pool2, ROOT_SLOT);
     assert!(
         matches!(r, Err(fptree_core::Error::Corrupt { .. })),
         "opening a fixed-key tree as var-key must fail with Corrupt"
@@ -448,7 +432,7 @@ fn var_key_range_scans_are_sorted_lexicographically() {
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTreeVar::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(pool, cfg, ROOT_SLOT);
     let mut model = std::collections::BTreeMap::new();
     for i in (0..400u64).rev() {
         let k = format!("id:{i:04}").into_bytes();
@@ -457,11 +441,11 @@ fn var_key_range_scans_are_sorted_lexicographically() {
     }
     let lo = b"id:0050".to_vec();
     let hi = b"id:0199".to_vec();
-    let got = t.range(&lo, &hi);
+    let got: Vec<(Vec<u8>, u64)> = t.scan(lo.clone()..=hi.clone()).collect();
     let expect: Vec<(Vec<u8>, u64)> = model.range(lo..=hi).map(|(k, v)| (k.clone(), *v)).collect();
     assert_eq!(got, expect);
     // Full scan covers everything in order.
-    let all = t.range(&Vec::new(), &b"zzzz".to_vec());
+    let all: Vec<(Vec<u8>, u64)> = t.scan(Vec::new()..=b"zzzz".to_vec()).collect();
     assert_eq!(all.len(), 400);
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
 }
@@ -472,7 +456,7 @@ fn mixed_key_lengths_coexist() {
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTreeVar::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTreeVar::create(pool, cfg, ROOT_SLOT);
     let keys: Vec<Vec<u8>> = vec![
         b"".to_vec(),
         b"a".to_vec(),
@@ -508,7 +492,7 @@ fn value_payload_sizes_roundtrip() {
             .with_leaf_capacity(8)
             .with_inner_fanout(8)
             .with_value_size(value_size);
-        let mut t = FPTree::create(pool, cfg, ROOT_SLOT);
+        let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
         for i in 0..500u64 {
             t.insert(&i, i * 3);
         }
@@ -525,16 +509,15 @@ fn reopen_preserves_config() {
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(12)
         .with_inner_fanout(7)
-        .with_value_size(24)
-        .with_leaf_group_size(3);
-    let mut t = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        .with_value_size(24);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for i in 0..100u64 {
         t.insert(&i, i);
     }
     drop(t);
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t2 = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     assert_eq!(*t2.config(), cfg);
     assert_eq!(t2.len(), 100);
 }
@@ -545,7 +528,7 @@ fn height_grows_logarithmically() {
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut t = FPTree::create(pool, cfg, ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
     assert_eq!(t.height(), 0);
     for i in 0..4096u64 {
         t.insert(&i, i);
@@ -554,102 +537,54 @@ fn height_grows_logarithmically() {
     assert!(t.height() >= 5 && t.height() <= 14, "height {}", t.height());
 }
 
+/// Algorithm 9 lines 1–2: a crash anywhere inside `create` leaves the
+/// metadata block INITIALIZING; `open` re-initializes an empty tree and
+/// leaks nothing.
 #[test]
-fn bulk_load_matches_incremental_build() {
-    for group in [0usize, 4] {
-        let entries: Vec<(u64, u64)> = (0..5000u64).map(|i| (i * 3, i)).collect();
-        let pool = direct_pool(64);
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(8)
-            .with_inner_fanout(8)
-            .with_leaf_group_size(group);
-        let t = FPTree::bulk_load(pool, cfg, ROOT_SLOT, &entries);
-        assert_eq!(t.len(), 5000);
-        t.check_consistency().unwrap();
-        for (k, v) in entries.iter().step_by(97) {
-            assert_eq!(t.get(k), Some(*v), "group {group} key {k}");
-        }
-        assert_eq!(t.get(&1), None);
-        assert_eq!(t.first_key_value(), Some((0, 0)));
-        assert_eq!(t.last_key_value(), Some((4999 * 3, 4999)));
-    }
-}
-
-#[test]
-fn bulk_load_survives_restart() {
-    let entries: Vec<(u64, u64)> = (0..2000u64).map(|i| (i, i + 7)).collect();
-    let pool = tracked_pool(64);
+fn interrupted_create_recovers_empty_without_leaks() {
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(8)
         .with_inner_fanout(8);
-    let t = FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries);
-    drop(t);
-    let img = pool.clean_image();
-    let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-    assert_eq!(t2.len(), 2000);
-    for (k, v) in &entries {
-        assert_eq!(t2.get(k), Some(*v));
-    }
-    t2.check_consistency().unwrap();
-    // And the tree is fully mutable after a bulk load + restart.
-    let mut t2 = t2;
-    assert!(t2.insert(&999_999, 1));
-    assert!(t2.remove(&0));
-    t2.check_consistency().unwrap();
-}
-
-#[test]
-fn interrupted_bulk_load_recovers_empty_without_leaks() {
-    for group in [0usize, 4] {
-        for fuse in [30u64, 120, 400] {
-            let pool = tracked_pool(64);
-            let entries: Vec<(u64, u64)> = (0..1500u64).map(|i| (i, i)).collect();
-            let cfg = TreeConfig::fptree()
-                .with_leaf_capacity(8)
-                .with_inner_fanout(8)
-                .with_leaf_group_size(group);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.set_crash_fuse(Some(fuse));
-                FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries)
-            }));
-            pool.set_crash_fuse(None);
-            if r.is_ok() {
-                continue; // load finished before the fuse
+    let mut crashed = 0;
+    for fuse in 1u64..=8 {
+        let pool = tracked_pool(8);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.set_crash_fuse(Some(fuse));
+            ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT)
+        }));
+        pool.set_crash_fuse(None);
+        if r.is_ok() {
+            continue; // create finished before the fuse
+        }
+        crashed += 1;
+        let img = pool.crash_image(fuse);
+        let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
+        match ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT) {
+            // Crashed before the metadata block was published: no tree.
+            Err(fptree_core::Error::Corrupt { .. }) => {}
+            Err(e) => panic!("fuse {fuse}: {e}"),
+            Ok(t) => {
+                assert!(t.is_empty(), "fuse {fuse}: phantom entries");
+                t.check_consistency().unwrap();
+                t.leak_audit()
+                    .unwrap_or_else(|e| panic!("fuse {fuse}: {e}"));
+                assert!(t.insert(&1, 1), "fuse {fuse}: re-initialized tree unusable");
             }
-            let img = pool.crash_image(fuse);
-            let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-            let t = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-            assert!(
-                t.is_empty(),
-                "group {group} fuse {fuse}: partial load visible"
-            );
-            t.check_consistency().unwrap();
-            // Leak audit: only the metadata block, group blocks (group
-            // mode), or the single head leaf may be live.
-            let live = pool2.live_blocks().unwrap();
-            let mu = t.memory_usage();
-            let live_bytes: u64 = live.iter().map(|&(_, s)| s).sum();
-            assert!(
-                live_bytes <= mu.scm_bytes + 4096,
-                "group {group} fuse {fuse}: leaked {} vs accounted {}",
-                live_bytes,
-                mu.scm_bytes
-            );
         }
     }
+    assert!(crashed > 0, "no fuse landed inside create");
 }
 
 #[test]
 fn iterator_streams_in_order() {
     let pool = direct_pool(32);
-    let mut t = FPTree::create(pool, small_cfg(), ROOT_SLOT);
+    let t = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
     let mut keys: Vec<u64> = (0..1500).map(|i| i * 7).collect();
     keys.shuffle(&mut StdRng::seed_from_u64(5));
     for &k in &keys {
         t.insert(&k, k + 1);
     }
-    let collected: Vec<(u64, u64)> = t.iter().collect();
+    let collected: Vec<(u64, u64)> = t.scan(..).collect();
     assert_eq!(collected.len(), 1500);
     assert!(
         collected.windows(2).all(|w| w[0].0 < w[1].0),
@@ -657,12 +592,12 @@ fn iterator_streams_in_order() {
     );
     assert_eq!(collected.first(), Some(&(0, 1)));
     assert_eq!(collected.last(), Some(&(1499 * 7, 1499 * 7 + 1)));
-    // Iterator agrees with range.
-    assert_eq!(collected, t.range(&0, &u64::MAX));
+    // An unbounded scan agrees with an inclusive full-range scan.
+    assert_eq!(collected, t.scan(0..=u64::MAX).collect::<Vec<_>>());
     // Empty tree iterates to nothing.
     let pool = direct_pool(8);
-    let t2 = FPTree::create(pool, small_cfg(), ROOT_SLOT);
-    assert_eq!(t2.iter().count(), 0);
+    let t2 = ConcurrentFPTree::create(pool, small_cfg(), ROOT_SLOT);
+    assert_eq!(t2.scan(..).count(), 0);
 }
 
 #[test]
@@ -670,7 +605,7 @@ fn file_backed_tree_survives_process_style_restart() {
     let path = std::env::temp_dir().join(format!("fpt-tree-{}.img", std::process::id()));
     {
         let pool = tracked_pool(32);
-        let mut t = FPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
+        let t = ConcurrentFPTree::create(Arc::clone(&pool), small_cfg(), ROOT_SLOT);
         for i in 0..500u64 {
             t.insert(&i, i * 11);
         }
@@ -678,7 +613,7 @@ fn file_backed_tree_survives_process_style_restart() {
     } // everything dropped: "process exit"
     {
         let pool = Arc::new(PmemPool::load(&path, PoolOptions::tracked(0)).unwrap());
-        let t = FPTree::open(Arc::clone(&pool), ROOT_SLOT).expect("recover");
+        let t = ConcurrentFPTree::open(Arc::clone(&pool), ROOT_SLOT).expect("recover");
         assert_eq!(t.len(), 500);
         assert_eq!(t.get(&123), Some(123 * 11));
         t.check_consistency().unwrap();
@@ -698,7 +633,7 @@ fn buffered_max_key_survives_split_and_recovery() {
         .with_inner_fanout(4)
         .with_wbuf_entries(4);
     let pool = tracked_pool(8);
-    let mut t = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let t = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for i in 0..64u64 {
         assert!(t.insert(&i, i * 3), "insert {i}");
     }
@@ -716,7 +651,7 @@ fn buffered_max_key_survives_split_and_recovery() {
     // under post-recovery inserts that traverse the rebuilt index.
     let img = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let mut t2 = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let t2 = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     for i in 0..64u64 {
         assert_eq!(t2.get(&i), Some(i * 3), "get {i} after recovery");
     }

@@ -194,8 +194,15 @@ impl KvCache {
                 }
             }
         }
-        for (key, _) in &by_key {
-            self.maybe_evict(key);
+        if let Some(cap) = self.max_items {
+            // Touch every stored key before evicting anything: evicting
+            // between touches could pick a key this batch just re-stored
+            // (still the LRU tail) and leave the LRU tracking a key the
+            // index no longer holds.
+            for (key, _) in &by_key {
+                self.lru.touch(key);
+            }
+            self.evict_over(cap);
         }
     }
 
@@ -203,21 +210,24 @@ impl KvCache {
     /// capacity. No-op on unbounded caches.
     fn maybe_evict(&self, key: &[u8]) {
         if let Some(cap) = self.max_items {
-            let tracked = self.lru.touch(key);
-            if tracked > cap {
-                // Evict strictly LRU keys until back at capacity; skip the
-                // key just written (it is at the front by construction).
-                while self.lru.len() > cap {
-                    let Some(victim) = self.lru.evict() else {
-                        break;
-                    };
-                    if self.delete_evicted(&victim) {
-                        // Only count an eviction when a mapping was actually
-                        // removed — a victim already deleted (or re-written
-                        // concurrently) is not an eviction.
-                        self.metrics.inc(Counter::CacheEvictions);
-                    }
-                }
+            if self.lru.touch(key) > cap {
+                self.evict_over(cap);
+            }
+        }
+    }
+
+    /// Evicts strictly LRU keys until at most `cap` are tracked. Freshly
+    /// touched keys sit at the front, so they go last.
+    fn evict_over(&self, cap: usize) {
+        while self.lru.len() > cap {
+            let Some(victim) = self.lru.evict() else {
+                break;
+            };
+            if self.delete_evicted(&victim) {
+                // Only count an eviction when a mapping was actually
+                // removed — a victim already deleted (or re-written
+                // concurrently) is not an eviction.
+                self.metrics.inc(Counter::CacheEvictions);
             }
         }
     }
@@ -431,11 +441,12 @@ mod tests {
 
     #[test]
     fn works_over_tree_indexes() {
-        use fptree_core::{Locked, TreeConfig};
+        use fptree_core::TreeConfig;
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = KvCache::new(Arc::new(Locked::new(tree)));
+        let tree =
+            fptree_core::ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
+        let c = KvCache::new(Arc::new(tree));
         for i in 0..500 {
             c.set(
                 format!("key:{i}").as_bytes(),
@@ -452,11 +463,12 @@ mod tests {
 
     #[test]
     fn scan_over_tree_index_is_ordered() {
-        use fptree_core::{Locked, TreeConfig};
+        use fptree_core::TreeConfig;
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = KvCache::new(Arc::new(Locked::new(tree)));
+        let tree =
+            fptree_core::ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
+        let c = KvCache::new(Arc::new(tree));
         for i in (0..100).rev() {
             c.set(format!("key:{i:04}").as_bytes(), i, vec![i as u8]);
         }
@@ -489,11 +501,12 @@ mod tests {
 
     #[test]
     fn set_batch_matches_loop_of_sets() {
-        use fptree_core::{Locked, TreeConfig};
+        use fptree_core::TreeConfig;
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = KvCache::new(Arc::new(Locked::new(tree)));
+        let tree =
+            fptree_core::ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
+        let c = KvCache::new(Arc::new(tree));
         c.set(b"k005", 9, b"old".to_vec()); // overwritten by the batch
         let items: Vec<(Vec<u8>, u32, Vec<u8>)> = (0..50u32)
             .map(|i| {
@@ -516,6 +529,25 @@ mod tests {
         assert_eq!(c.get(b"dup"), Some((0, b"second".to_vec())));
         // No leaked store items: one per live key.
         assert_eq!(c.store.len(), 51);
+    }
+
+    #[test]
+    fn set_batch_restoring_the_lru_key_keeps_it() {
+        // A batch that re-stores the LRU key of a full cache: evicting
+        // while the batch is half-touched used to pick that very key,
+        // dropping it from the index while the LRU kept tracking it.
+        let c = KvCache::with_capacity(Arc::new(HashIndex::<Vec<u8>>::new(4)), 4);
+        for k in ["a", "b", "c", "d"] {
+            c.set(k.as_bytes(), 0, k.as_bytes().to_vec());
+        }
+        c.set_batch(vec![
+            (b"e".to_vec(), 0, b"e".to_vec()),
+            (b"a".to_vec(), 0, b"a2".to_vec()),
+        ]);
+        assert_eq!(c.get(b"a"), Some((0, b"a2".to_vec())));
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.lru.len(), c.len(), "LRU tracks a key the index lost");
+        assert!(c.get(b"b").is_none(), "the true LRU key is the victim");
     }
 
     #[test]
@@ -630,11 +662,12 @@ mod lru_tests {
 
     #[test]
     fn concurrent_set_vs_evict_does_not_leak_items() {
-        use fptree_core::{Locked, TreeConfig};
+        use fptree_core::TreeConfig;
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = Arc::new(KvCache::with_capacity(Arc::new(Locked::new(tree)), 16));
+        let tree =
+            fptree_core::ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
+        let c = Arc::new(KvCache::with_capacity(Arc::new(tree), 16));
         // Writers hammer a small, shared key set so evictions of a key
         // constantly race re-sets of that same key — the window where a
         // stale-handle remove would free the fresh item.
@@ -667,11 +700,12 @@ mod lru_tests {
 
     #[test]
     fn eviction_works_over_persistent_tree() {
-        use fptree_core::{Locked, TreeConfig};
+        use fptree_core::TreeConfig;
         use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-        let tree = fptree_core::FPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
-        let c = KvCache::with_capacity(Arc::new(Locked::new(tree)), 50);
+        let tree =
+            fptree_core::ConcurrentFPTreeVar::create(pool, TreeConfig::fptree_var(), ROOT_SLOT);
+        let c = KvCache::with_capacity(Arc::new(tree), 50);
         for i in 0..300u32 {
             c.set(format!("key:{i:04}").as_bytes(), 0, vec![0u8; 8]);
         }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use fptree_suite::core::{FPTreeVar, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTreeVar, TreeConfig};
 use fptree_suite::pmem::{crash_is_injected, PmemPool, PoolOptions, ROOT_SLOT};
 
 fn main() {
@@ -25,9 +25,8 @@ fn main() {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let cfg = TreeConfig::fptree_var()
                 .with_leaf_capacity(8)
-                .with_inner_fanout(8)
-                .with_leaf_group_size(4);
-            let mut tree = FPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+                .with_inner_fanout(8);
+            let tree = ConcurrentFPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
             pool.set_crash_fuse(Some(fuse));
             for i in 0..200u64 {
                 let key = format!("user:{i:04}").into_bytes();
@@ -53,12 +52,13 @@ fn main() {
         // words are randomly lost) and recover.
         let image = pool.crash_image(round);
         let pool2 = Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0)).expect("reopen"));
-        let tree = FPTreeVar::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+        let tree = ConcurrentFPTreeVar::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
         tree.check_consistency()
             .expect("recovered tree is consistent");
 
         // Leak audit: every live allocator block must be reachable from the
-        // tree (metadata, leaf groups, key blobs) — the paper's §2 claim.
+        // tree (metadata, leaves, key blobs) — the paper's §2 claim.
+        tree.leak_audit().expect("no persistent leaks");
         let live = pool2.live_blocks().expect("heap walk");
         println!(
             "round {round}: recovered {} keys, {} live SCM blocks, zero leaks, zero corruption",

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use fptree_suite::baselines::WBTree;
 use fptree_suite::core::keys::FixedKey;
-use fptree_suite::core::{SingleTree, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTree, TreeConfig};
 use fptree_suite::pmem::{LatencyProfile, PmemPool, PoolOptions, ROOT_SLOT};
 
 const N: usize = 20_000;
@@ -42,7 +42,7 @@ fn main() {
                     } else {
                         TreeConfig::ptree()
                     };
-                    let mut t = SingleTree::<FixedKey>::create(pool, cfg, ROOT_SLOT);
+                    let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
                     for &k in &keys {
                         t.insert(&k, k);
                     }

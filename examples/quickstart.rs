@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use fptree_suite::core::{FPTree, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTree, TreeConfig};
 use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 
 fn main() {
@@ -14,8 +14,9 @@ fn main() {
     //    are durable immediately; persistence primitives only cost latency.
     let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).expect("pool"));
 
-    // 2. A persistent FPTree rooted at the pool's root slot.
-    let mut tree = FPTree::create(Arc::clone(&pool), TreeConfig::fptree(), ROOT_SLOT);
+    // 2. A persistent FPTree (the paper's single-threaded preset) rooted at
+    //    the pool's root slot.
+    let tree = ConcurrentFPTree::create(Arc::clone(&pool), TreeConfig::fptree(), ROOT_SLOT);
 
     // 3. Ordinary map operations; every mutation is crash-consistent.
     for i in 0..10_000u64 {
@@ -27,7 +28,7 @@ fn main() {
     println!("inserted 10k keys; get(123) = {:?}", tree.get(&123));
 
     // 4. Sorted range scans via the persistent leaf list.
-    let range = tree.range(&100, &110);
+    let range: Vec<(u64, u64)> = tree.scan(100..=110).collect();
     println!(
         "range [100, 110] -> {} entries, first = {:?}",
         range.len(),
@@ -37,19 +38,20 @@ fn main() {
     // 5. Simulate a restart: snapshot the durable image, reopen, recover.
     //    Inner nodes are rebuilt from the SCM leaf list (Selective
     //    Persistence) — no log replay of data, no full reload.
-    let stats = tree.memory_usage();
+    let scm = pool.alloc_stats().expect("heap walk").live_bytes as f64;
+    let dram = tree.dram_bytes() as f64;
     println!(
         "before restart: {} leaves, {:.1} KiB SCM, {:.1} KiB DRAM ({:.2}% DRAM)",
-        stats.leaf_count,
-        stats.scm_bytes as f64 / 1024.0,
-        stats.dram_bytes as f64 / 1024.0,
-        100.0 * stats.dram_bytes as f64 / (stats.scm_bytes + stats.dram_bytes) as f64
+        tree.leaf_offsets().len(),
+        scm / 1024.0,
+        dram / 1024.0,
+        100.0 * dram / (scm + dram)
     );
     drop(tree);
     let image = pool.clean_image();
     let pool2 = Arc::new(PmemPool::reopen(image, PoolOptions::direct(0)).expect("reopen"));
     let t = std::time::Instant::now();
-    let recovered = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let recovered = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     println!(
         "recovered {} keys in {:?}; get(123) = {:?}",
         recovered.len(),

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use fptree_suite::core::index::U64Index;
-use fptree_suite::core::{FPTree, Locked, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTree, TreeConfig};
 use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use fptree_suite::tatp::{run_mix, TatpDb};
 
@@ -24,11 +24,11 @@ fn main() {
         let slot = dir + next.get() * 16;
         next.set(next.get() + 1);
         let _ = name;
-        Arc::new(Locked::new(FPTree::create(
+        Arc::new(ConcurrentFPTree::create(
             Arc::clone(&pool),
             TreeConfig::fptree(),
             slot,
-        )))
+        ))
     };
 
     println!("populating TATP with {subscribers} subscribers (sequential s_ids)...");
@@ -57,7 +57,9 @@ fn main() {
     let pool2 = Arc::new(PmemPool::reopen(image, PoolOptions::direct(0)).expect("reopen"));
     let slots = next.get();
     for i in 0..slots {
-        std::hint::black_box(FPTree::open(Arc::clone(&pool2), dir + i * 16).expect("recover"));
+        std::hint::black_box(
+            ConcurrentFPTree::open(Arc::clone(&pool2), dir + i * 16).expect("recover"),
+        );
     }
     println!(
         "restart: {slots} dictionary indexes recovered in {:?}",

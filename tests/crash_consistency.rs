@@ -12,9 +12,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use fptree_suite::core::keys::{FixedKey, KeyKind, VarKey};
-use fptree_suite::core::{SingleTree, TreeConfig};
-use fptree_suite::pmem::{crash_is_injected, PmemPool, PoolOptions, RawPPtr, ROOT_SLOT};
+use fptree_suite::core::keys::{FixedKey, VarKey};
+use fptree_suite::core::{ConcKey, ConcurrentTree, TreeConfig};
+use fptree_suite::pmem::{crash_is_injected, PmemPool, PoolOptions, ROOT_SLOT};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -33,12 +33,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Generic over the key kind; drives ops, crashes, recovers, checks.
-fn crash_check<K: KeyKind>(
+fn crash_check<K: ConcKey>(
     mk: impl Fn(u16) -> K::Owned,
     ops: &[Op],
     fuse: u64,
     seed: u64,
-    group_size: usize,
+    preset: TreeConfig,
     wbuf: usize,
 ) {
     let pool =
@@ -50,12 +50,11 @@ fn crash_check<K: KeyKind>(
     let in_flight = std::sync::Mutex::new(None::<u16>);
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = TreeConfig::fptree()
+        let cfg = preset
             .with_leaf_capacity(4)
             .with_inner_fanout(4)
-            .with_leaf_group_size(group_size)
             .with_wbuf_entries(wbuf);
-        let mut tree = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let tree = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         pool.set_crash_fuse(Some(fuse));
         for op in ops {
             *in_flight.lock().expect("in-flight") = Some(match op {
@@ -96,7 +95,7 @@ fn crash_check<K: KeyKind>(
     let image = pool.crash_image(seed);
     let pool2 =
         Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0).with_checker()).expect("reopen"));
-    let tree = SingleTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let tree = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     tree.check_consistency().expect("recovered tree consistent");
 
     let model = completed.lock().expect("model");
@@ -117,7 +116,7 @@ fn crash_check<K: KeyKind>(
         }
         // Atomicity of the in-flight op: any extra key beyond the model must
         // carry a value some operation actually wrote for that key.
-        for (k, v) in tree.range(&mk(0), &mk(u16::MAX)) {
+        for (k, v) in tree.scan(mk(0)..=mk(u16::MAX)) {
             let wrote_it = ops.iter().any(|op| match op {
                 Op::Insert(ok, ov) | Op::Update(ok, ov) => mk(*ok) == k && *ov as u64 == v,
                 Op::Remove(_) => false,
@@ -163,7 +162,7 @@ fn crash_check<K: KeyKind>(
     }
 
     // No persistent leaks: every live block is reachable from the tree.
-    audit_leaks::<K>(&pool2, &tree);
+    tree.leak_audit().expect("no persistent leaks");
 
     // Recovery itself (allocator log replay, micro-log replay, re-init)
     // must follow the durability protocol too.
@@ -194,12 +193,12 @@ fn batch_op_strategy() -> impl Strategy<Value = BatchOp> {
 /// durable in full, every surviving key carries a value some batch actually
 /// wrote for it, and the durability checker accepts every persistence
 /// event on both sides of the crash.
-fn batch_crash_check<K: KeyKind>(
+fn batch_crash_check<K: ConcKey>(
     mk: impl Fn(u16) -> K::Owned,
     ops: &[BatchOp],
     fuse: u64,
     seed: u64,
-    group_size: usize,
+    preset: TreeConfig,
 ) {
     let pool =
         Arc::new(PmemPool::create(PoolOptions::tracked(64 << 20).with_checker()).expect("pool"));
@@ -209,11 +208,8 @@ fn batch_crash_check<K: KeyKind>(
     let in_flight = std::sync::Mutex::new(Vec::<u16>::new());
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(group_size);
-        let mut tree = SingleTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let cfg = preset.with_leaf_capacity(4).with_inner_fanout(4);
+        let tree = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         pool.set_crash_fuse(Some(fuse));
         for op in ops {
             match op {
@@ -257,7 +253,7 @@ fn batch_crash_check<K: KeyKind>(
     let image = pool.crash_image(seed);
     let pool2 =
         Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0).with_checker()).expect("reopen"));
-    let tree = SingleTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let tree = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     tree.check_consistency().expect("recovered tree consistent");
 
     let model = completed.lock().expect("model");
@@ -279,7 +275,7 @@ fn batch_crash_check<K: KeyKind>(
         // No torn or phantom entries: every surviving key must carry a
         // value some insert batch actually offered for it — staged slots
         // whose run never published must be invisible.
-        for (k, v) in tree.range(&mk(0), &mk(u16::MAX)) {
+        for (k, v) in tree.scan(mk(0)..=mk(u16::MAX)) {
             let wrote_it = ops.iter().any(|op| match op {
                 BatchOp::InsertBatch(entries) => entries
                     .iter()
@@ -307,7 +303,7 @@ fn batch_crash_check<K: KeyKind>(
         assert_eq!(tree.get(k), Some(*v), "scan entry invisible to get");
     }
 
-    audit_leaks::<K>(&pool2, &tree);
+    tree.leak_audit().expect("no persistent leaks");
     pool2.assert_durability_clean();
 }
 
@@ -429,76 +425,29 @@ fn sharded_crash_check(ops: &[Op], shards: usize, crash_shard: usize, fuse: u64,
     }
 }
 
-/// Allocator-vs-tree reachability audit.
-fn audit_leaks<K: KeyKind>(pool: &Arc<PmemPool>, tree: &SingleTree<K>) {
-    let live = pool.live_blocks().expect("heap walk");
-    let mut reachable = std::collections::HashSet::new();
-    // Tree metadata block (from the root slot).
-    let owner: RawPPtr = pool.read_at(ROOT_SLOT);
-    reachable.insert(owner.offset);
-    // Leaf groups (group mode) by walking the persistent group list; the
-    // list head lives in the metadata block — reuse the tree's own
-    // accounting instead: every leaf offset and key blob.
-    let cfg = tree.config();
-    if cfg.leaf_group_size > 1 {
-        // Group blocks are the allocation unit: collect them by walking the
-        // group list stored in metadata (offset 48 within the block).
-        let ghead: RawPPtr = pool.read_at(owner.offset + 48);
-        let mut cur = ghead;
-        while !cur.is_null() {
-            reachable.insert(cur.offset);
-            cur = pool.read_at(cur.offset);
-        }
-    } else {
-        for off in tree.leaf_offsets() {
-            reachable.insert(off);
-        }
-    }
-    if K::IS_VAR {
-        for off in tree.leaf_offsets() {
-            // Valid slots own blobs: ask the pool for each slot pointer via
-            // the tree's consistency contract (checked above); here we use
-            // the public range to reach blob offsets indirectly — instead,
-            // conservatively accept blocks that any valid slot references.
-            let layout = fptree_suite::core::LeafLayout::new(cfg, K::SLOT_SIZE);
-            let bm = pool.read_at::<u64>(off);
-            for slot in 0..layout.m {
-                if bm & (1 << slot) != 0 {
-                    let p: RawPPtr = pool.read_at(off + layout.key_off(slot) as u64);
-                    if !p.is_null() {
-                        reachable.insert(p.offset);
-                    }
-                }
-            }
-        }
-    }
-    for (off, size) in &live {
-        assert!(
-            reachable.contains(off),
-            "persistent leak: block at {off:#x} ({size} B) unreachable from the tree"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    #[test]
-    fn fixed_keys_with_groups(
-        ops in proptest::collection::vec(op_strategy(), 20..120),
-        fuse in 50u64..2500,
-        seed in any::<u64>(),
-    ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 4, 8);
-    }
-
+    /// The FPTree preset (leaves are allocated one by one; the name dates
+    /// from when a grouped-allocation variant existed).
     #[test]
     fn fixed_keys_without_groups(
         ops in proptest::collection::vec(op_strategy(), 20..120),
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, 8);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::fptree(), 8);
+    }
+
+    /// The PTree preset: split key/value arrays, no fingerprints, no
+    /// append buffer.
+    #[test]
+    fn fixed_keys_ptree(
+        ops in proptest::collection::vec(op_strategy(), 20..120),
+        fuse in 50u64..2500,
+        seed in any::<u64>(),
+    ) {
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::ptree(), 0);
     }
 
     /// The §5.12 append-buffer crash sweep: buffer sizes from disabled to
@@ -512,7 +461,7 @@ proptest! {
         seed in any::<u64>(),
         wbuf in 0usize..=6,
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0, wbuf);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::fptree(), wbuf);
     }
 
     /// Variable-size keys through the buffer: append entries own key blobs,
@@ -530,7 +479,7 @@ proptest! {
             &ops,
             fuse,
             seed,
-            2,
+            TreeConfig::fptree_var(),
             wbuf,
         );
     }
@@ -546,27 +495,29 @@ proptest! {
             &ops,
             fuse,
             seed,
-            2,
+            TreeConfig::fptree_var(),
             8,
         );
     }
 
-    #[test]
-    fn batched_fixed_keys_with_groups(
-        ops in proptest::collection::vec(batch_op_strategy(), 2..20),
-        fuse in 50u64..2500,
-        seed in any::<u64>(),
-    ) {
-        batch_crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 4);
-    }
-
+    /// Batched writes on the FPTree preset (see `fixed_keys_without_groups`
+    /// for the name).
     #[test]
     fn batched_fixed_keys_without_groups(
         ops in proptest::collection::vec(batch_op_strategy(), 2..20),
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        batch_crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, 0);
+        batch_crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::fptree());
+    }
+
+    #[test]
+    fn batched_fixed_keys_ptree(
+        ops in proptest::collection::vec(batch_op_strategy(), 2..20),
+        fuse in 50u64..2500,
+        seed in any::<u64>(),
+    ) {
+        batch_crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::ptree());
     }
 
     #[test]
@@ -591,7 +542,7 @@ proptest! {
             &ops,
             fuse,
             seed,
-            2,
+            TreeConfig::fptree_var(),
         );
     }
 }

@@ -156,12 +156,12 @@ proptest! {
         use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         use std::sync::Arc;
 
-        // FPTree (single-threaded, leaf groups).
+        // FPTree (the single-threaded preset).
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree()).with_leaf_group_size(2),
+                small(TreeConfig::fptree()),
                 ROOT_SLOT,
             );
             check("fptree", &ops, |c| match c {
@@ -169,15 +169,15 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
         }
-        // PTree config.
+        // PTree preset.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
                 small(TreeConfig::ptree()),
                 ROOT_SLOT,
@@ -187,11 +187,11 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
         }
-        // Concurrent FPTree.
+        // Concurrent FPTree preset.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
             let t = fptree_suite::core::ConcurrentFPTree::create(
@@ -204,7 +204,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -273,7 +273,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -316,12 +316,12 @@ proptest! {
         use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         use std::sync::Arc;
 
-        // Single-threaded FPTree with leaf groups.
+        // Single-threaded FPTree preset.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree()).with_leaf_group_size(2),
+                small(TreeConfig::fptree()),
                 ROOT_SLOT,
             );
             let mut oracle = BTreeMap::new();
@@ -378,9 +378,9 @@ proptest! {
         {
             let key = |k: u32| format!("key:{k:06}").into_bytes();
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(128 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTreeVar::create(
+            let t = fptree_suite::core::ConcurrentFPTreeVar::create(
                 pool,
-                small(TreeConfig::fptree_var()).with_leaf_group_size(2),
+                small(TreeConfig::fptree_var()),
                 ROOT_SLOT,
             );
             let mut oracle = BTreeMap::new();
@@ -421,11 +421,9 @@ proptest! {
         // including reads that land while entries are still buffered.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree())
-                    .with_leaf_group_size(2)
-                    .with_wbuf_entries(wbuf),
+                small(TreeConfig::fptree()).with_wbuf_entries(wbuf),
                 ROOT_SLOT,
             );
             check(&format!("fptree-wbuf{wbuf}"), &ops, |c| match c {
@@ -433,7 +431,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -451,7 +449,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -460,7 +458,7 @@ proptest! {
         // semantics: the fold path and the batch path may not disagree.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
                 small(TreeConfig::fptree()).with_wbuf_entries(wbuf),
                 ROOT_SLOT,
@@ -574,7 +572,7 @@ proptest! {
         // variants; the default-on path is covered by all_trees_agree.
         {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let mut t = fptree_suite::core::FPTree::create(
+            let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
                 small(TreeConfig::fptree())
                     .with_swar_probe(false)
@@ -586,7 +584,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -605,7 +603,7 @@ proptest! {
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
                 Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.range(&lo, &hi))),
+                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
             t.check_consistency().unwrap();
@@ -627,9 +625,9 @@ proptest! {
         };
 
         let pool = Arc::new(PmemPool::create(PoolOptions::direct(128 << 20)).unwrap());
-        let mut fp = fptree_suite::core::FPTreeVar::create(
+        let fp = fptree_suite::core::ConcurrentFPTreeVar::create(
             pool,
-            small(TreeConfig::fptree_var()).with_leaf_group_size(2),
+            small(TreeConfig::fptree_var()),
             ROOT_SLOT,
         );
         check("fptree-var", &ops, |c| match c {
@@ -638,7 +636,7 @@ proptest! {
                 Call::Remove(k) => Resp::Bool(fp.remove(&key(k))),
                 Call::Get(k) => Resp::Val(fp.get(&key(k))),
                 Call::Range(lo, hi) => {
-                    Resp::Scan(Some(map_back(fp.range(&key(lo), &key(hi)))))
+                    Resp::Scan(Some(map_back(fp.scan(key(lo)..=key(hi)).collect())))
                 }
                 Call::ScanAll => Resp::Scan(Some(map_back(fp.scan(..).collect()))),
             });

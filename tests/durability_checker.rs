@@ -1,7 +1,7 @@
 //! Integration tests for the pmemcheck-style durability checker.
 //!
-//! Positive direction: every real FPTree write path — single-threaded,
-//! concurrent, variable-size keys, leaf groups, allocator, recovery — must
+//! Positive direction: every real FPTree write path — single-threaded and
+//! concurrent presets, variable-size keys, allocator, recovery — must
 //! produce a clean [`DurabilityReport`]. Negative direction: deliberately
 //! broken persist-order protocols (a removed `persist`, a commit record
 //! flushed together with its operands, a straddling publish, an unpublished
@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use fptree_suite::core::keys::VarKey;
-use fptree_suite::core::{ConcurrentFPTree, FPTree, SingleTree, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTree, ConcurrentFPTreeVar, TreeConfig};
 use fptree_suite::pmem::{
     crash_is_injected, PmemPool, PoolOptions, RawPPtr, ViolationKind, ROOT_SLOT, USER_BASE,
 };
@@ -21,13 +20,15 @@ fn checked_pool(bytes: usize) -> Arc<PmemPool> {
 
 // ------------------------------------------------------------ clean paths
 
+/// One tree driven by one thread, on the paper's single-threaded FPTree
+/// preset.
 #[test]
 fn single_tree_workload_is_clean_and_counted() {
     let pool = checked_pool(32 << 20);
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(4)
         .with_inner_fanout(4);
-    let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for k in 0..200u64 {
         assert!(tree.insert(&k, k * 10));
     }
@@ -63,21 +64,20 @@ fn single_tree_workload_is_clean_and_counted() {
 }
 
 #[test]
-fn var_key_grouped_tree_workload_is_clean() {
+fn var_key_tree_workload_is_clean() {
     let pool = checked_pool(32 << 20);
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
-        .with_inner_fanout(4)
-        .with_leaf_group_size(2);
+        .with_inner_fanout(4);
     let mk = |k: u64| format!("key:{k:05}").into_bytes();
-    let mut tree = SingleTree::<VarKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let tree = ConcurrentFPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     for k in 0..120u64 {
         assert!(tree.insert(&mk(k), k));
     }
     for k in (0..120u64).step_by(2) {
         assert!(tree.update(&mk(k), k + 1));
     }
-    // Deep removal drains leaves, exercising FreeLeaf group retirement and
+    // Deep removal drains leaves, exercising leaf unlink + deallocation and
     // variable-key blob deallocation (both publish-heavy paths).
     for k in 0..100u64 {
         assert!(tree.remove(&mk(k)));
@@ -85,6 +85,8 @@ fn var_key_grouped_tree_workload_is_clean() {
     pool.assert_durability_clean();
 }
 
+/// A bulk load — sorted 64-key `insert_batch` runs into an empty tree, the
+/// preload path of the repository benchmark — and the reopen of its image.
 #[test]
 fn bulk_load_and_reopen_are_clean() {
     let pool = checked_pool(32 << 20);
@@ -93,7 +95,10 @@ fn bulk_load_and_reopen_are_clean() {
         .with_inner_fanout(4);
     let entries: Vec<(u64, u64)> = (0..500u64).map(|k| (k, k * 7)).collect();
     {
-        let _tree = FPTree::bulk_load(Arc::clone(&pool), cfg, ROOT_SLOT, &entries);
+        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        for run in entries.chunks(64) {
+            assert_eq!(tree.insert_batch(run), run.len());
+        }
     }
     pool.assert_durability_clean();
 
@@ -102,7 +107,7 @@ fn bulk_load_and_reopen_are_clean() {
     let image = pool.clean_image();
     let pool2 =
         Arc::new(PmemPool::reopen(image, PoolOptions::tracked(0).with_checker()).expect("reopen"));
-    let tree = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+    let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
     assert_eq!(tree.len(), 500);
     pool2.assert_durability_clean();
 }
@@ -152,14 +157,14 @@ fn batched_workload_is_clean_on_every_variant() {
     let entries: Vec<(u64, u64)> = (0..300u64).map(|k| ((k * 37) % 1000, k)).collect();
     let dead: Vec<u64> = entries.iter().map(|(k, _)| *k).step_by(2).collect();
 
-    // Single-threaded, with and without leaf groups.
-    for group in [0usize, 4] {
+    // The single-threaded FPTree and PTree presets.
+    for (name, preset) in [
+        ("fptree", TreeConfig::fptree()),
+        ("ptree", TreeConfig::ptree()),
+    ] {
         let pool = checked_pool(32 << 20);
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(group);
-        let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let cfg = preset.with_leaf_capacity(4).with_inner_fanout(4);
+        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         for chunk in entries.chunks(48) {
             tree.insert_batch(chunk);
         }
@@ -169,7 +174,7 @@ fn batched_workload_is_clean_on_every_variant() {
         let report = pool.take_durability_report();
         assert!(
             report.is_clean(),
-            "batched single-tree (groups {group}) dirty:\n{}",
+            "batched {name} dirty:\n{}",
             report.render()
         );
     }
@@ -179,10 +184,9 @@ fn batched_workload_is_clean_on_every_variant() {
     let pool = checked_pool(32 << 20);
     let cfg = TreeConfig::fptree_var()
         .with_leaf_capacity(4)
-        .with_inner_fanout(4)
-        .with_leaf_group_size(2);
+        .with_inner_fanout(4);
     let mk = |k: u64| format!("key:{k:05}").into_bytes();
-    let mut tree = SingleTree::<VarKey>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    let tree = ConcurrentFPTreeVar::create(Arc::clone(&pool), cfg, ROOT_SLOT);
     let var_entries: Vec<(Vec<u8>, u64)> = entries.iter().map(|&(k, v)| (mk(k), v)).collect();
     let var_dead: Vec<Vec<u8>> = dead.iter().map(|&k| mk(k)).collect();
     for chunk in var_entries.chunks(48) {
@@ -237,7 +241,7 @@ fn batched_recovery_is_clean_after_midrun_crash() {
             .with_leaf_capacity(4)
             .with_inner_fanout(4);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+            let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
             pool.set_crash_fuse(Some(fuse));
             for chunk in entries.chunks(64) {
                 tree.insert_batch(chunk);
@@ -253,7 +257,7 @@ fn batched_recovery_is_clean_after_midrun_crash() {
         let pool2 = Arc::new(
             PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
         );
-        let tree = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+        let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
         tree.check_consistency().expect("recovered tree consistent");
         // Staged-but-unpublished slots must be invisible: every surviving
         // key is one the ingest offered, with its offered value.
@@ -270,7 +274,7 @@ fn batched_recovery_is_clean_after_midrun_crash() {
 /// one-publish commit — landing before the entry publish (the entry must be
 /// invisible after recovery), inside the multi-word publish (a torn sibling
 /// word must kill the checksummed tag), and after it (the entry must be
-/// durable or recoverable) — on the single-threaded variant. The checker
+/// durable or recoverable) — on the single-threaded FPTree preset. The checker
 /// must accept both sides of the crash, and recovery must be atomic: the
 /// in-flight key is present-with-its-value or absent, never torn.
 #[test]
@@ -279,9 +283,8 @@ fn wbuf_commit_crash_sweep_single_tree() {
         let pool = checked_pool(32 << 20);
         let cfg = TreeConfig::fptree()
             .with_leaf_capacity(8)
-            .with_inner_fanout(4)
-            .with_leaf_group_size(0);
-        let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+            .with_inner_fanout(4);
+        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         // Prime past the first-leaf setup so the fuse lands inside the
         // append itself (and, at higher fuses, inside the fold it forces).
         for k in 0..6u64 {
@@ -308,7 +311,7 @@ fn wbuf_commit_crash_sweep_single_tree() {
             let pool2 = Arc::new(
                 PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
             );
-            let tree = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+            let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
             tree.check_consistency().expect("recovered tree consistent");
             for k in 0..6u64 {
                 assert_eq!(tree.get(&k), Some(k * 10), "primed key lost (fuse {fuse})");
@@ -326,8 +329,8 @@ fn wbuf_commit_crash_sweep_single_tree() {
     }
 }
 
-/// The same commit-point sweep on the concurrent variant (seqlock leaves,
-/// parallel recovery path).
+/// The same commit-point sweep on the concurrent preset (128-way inner
+/// nodes).
 #[test]
 fn wbuf_commit_crash_sweep_concurrent_tree() {
     for fuse in 1..=14u64 {
@@ -376,7 +379,7 @@ fn wbuf_commit_crash_sweep_concurrent_tree() {
 
 /// Buffered single-key traffic — appends, shadowing updates, overflow
 /// folds, splits of folded leaves — is protocol-clean for every buffer
-/// size on both variants.
+/// size on both the single-threaded and the concurrent preset.
 #[test]
 fn wbuf_workloads_are_clean_across_buffer_sizes() {
     for wbuf in [0usize, 1, 2, 8] {
@@ -385,7 +388,7 @@ fn wbuf_workloads_are_clean_across_buffer_sizes() {
             .with_leaf_capacity(4)
             .with_inner_fanout(4)
             .with_wbuf_entries(wbuf);
-        let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
         for k in 0..150u64 {
             assert!(tree.insert(&k, k));
         }
@@ -628,7 +631,7 @@ fn tree_recovery_is_clean_after_midsplit_crash() {
             .with_leaf_capacity(4)
             .with_inner_fanout(4);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut tree = FPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+            let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
             pool.set_crash_fuse(Some(fuse));
             for k in 0..100u64 {
                 tree.insert(&k, k);
@@ -644,7 +647,7 @@ fn tree_recovery_is_clean_after_midsplit_crash() {
         let pool2 = Arc::new(
             PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
         );
-        let tree = FPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+        let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
         tree.check_consistency().expect("recovered tree consistent");
         pool2.assert_durability_clean();
     }

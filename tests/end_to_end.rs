@@ -9,7 +9,7 @@ use fptree_suite::baselines::{adapters, HashIndex, NVTreeC, StxTree, WBTree};
 use fptree_suite::core::concurrent::ConcurrentFPTreeVar;
 use fptree_suite::core::index::{BytesIndex, U64Index};
 use fptree_suite::core::keys::{FixedKey, VarKey};
-use fptree_suite::core::{ConcurrentFPTree, Locked, SingleTree, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTree, TreeConfig};
 use fptree_suite::kvcache::{run_mcbench, KvCache, McBenchConfig};
 use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use fptree_suite::tatp::{run_mix, TatpDb};
@@ -22,11 +22,11 @@ fn bytes_indexes() -> Vec<(&'static str, Arc<dyn BytesIndex>)> {
     vec![
         (
             "fptree-var",
-            Arc::new(Locked::new(SingleTree::<VarKey>::create(
+            Arc::new(ConcurrentFPTreeVar::create(
                 pool(128),
                 TreeConfig::fptree_var(),
                 ROOT_SLOT,
-            ))),
+            )),
         ),
         (
             "fptree-c-var",
@@ -114,11 +114,11 @@ fn tatp_runs_over_every_u64_index() {
             Box::new(move |_| {
                 let slot = dir + next.get() * 16;
                 next.set(next.get() + 1);
-                Arc::new(Locked::new(SingleTree::<FixedKey>::create(
+                Arc::new(ConcurrentFPTree::create(
                     Arc::clone(&p),
                     TreeConfig::fptree(),
                     slot,
-                )))
+                ))
             })
         }),
         ("fptree-c", {
@@ -186,11 +186,11 @@ fn tatp_survives_restart() {
     let factory = |_: &str| -> Arc<dyn U64Index> {
         let slot = dir + next.get() * 16;
         next.set(next.get() + 1);
-        Arc::new(Locked::new(SingleTree::<FixedKey>::create(
+        Arc::new(ConcurrentFPTree::create(
             Arc::clone(&p),
             TreeConfig::fptree(),
             slot,
-        )))
+        ))
     };
     let db = TatpDb::populate(200, &factory, 13);
     let before: Vec<_> = (1..=200u64).map(|s| db.get_subscriber_data(s)).collect();
@@ -201,7 +201,7 @@ fn tatp_survives_restart() {
     // Recover each dictionary index and make sure the key → code mappings
     // survived: rebuild a fresh DB shell and compare PK lookups.
     let recovered: Vec<_> = (0..slots)
-        .map(|i| SingleTree::<FixedKey>::open(Arc::clone(&p2), dir + i * 16).expect("recover"))
+        .map(|i| ConcurrentFPTree::open(Arc::clone(&p2), dir + i * 16).expect("recover"))
         .collect();
     // Index 0 is the subscriber PK dictionary (created first).
     let sub_pk = &recovered[0];

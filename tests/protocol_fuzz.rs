@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use fptree_suite::core::{FPTreeVar, Locked, TreeConfig};
+use fptree_suite::core::{ConcurrentFPTreeVar, TreeConfig};
 use fptree_suite::kvcache::protocol::{execute, parse, Command, ParseError};
 use fptree_suite::kvcache::KvCache;
 use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
@@ -142,8 +142,8 @@ proptest! {
             PmemPool::create(PoolOptions::tracked(16 << 20).with_checker()).expect("pool"),
         );
         let tree =
-            FPTreeVar::create(std::sync::Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
-        let cache = KvCache::new(std::sync::Arc::new(Locked::new(tree)));
+            ConcurrentFPTreeVar::create(std::sync::Arc::clone(&pool), TreeConfig::fptree_var(), ROOT_SLOT);
+        let cache = KvCache::new(std::sync::Arc::new(tree));
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for (key, data, kind) in cmds {
             // Odd steps go through the silent noreply path.
