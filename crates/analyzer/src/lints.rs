@@ -70,13 +70,8 @@ impl Finding {
 
 /// Raw pool store primitives (any receiver).
 const STORE_RAW: [&str; 3] = ["write_bytes", "write_at", "write_word"];
-/// Publish primitives (`write_publish_bytes` is the multi-word flavor the
-/// leaf append-buffer entry commit uses, §5.12).
-const PUBLISH_RAW: [&str; 3] = [
-    "write_publish_word",
-    "write_publish_at",
-    "write_publish_bytes",
-];
+/// Publish primitives.
+const PUBLISH_RAW: [&str; 2] = ["write_publish_word", "write_publish_at"];
 /// Typed store wrappers that stage data without flushing.
 const STORE_WRAP: [&str; 3] = ["set_value", "set_fingerprint", "write_slot"];
 /// Flush primitives/wrappers (fence + CLFLUSH + fence semantics).
@@ -90,21 +85,23 @@ const PERSIST: [&str; 7] = [
     "persist_merged",
 ];
 /// Wrappers that publish *and* persist internally (safe combos).
-/// `wbuf_append` commits a buffer entry with one publish + persist;
-/// `wbuf_fold` ends with the p-atomic generation bump + persist (§5.12).
-const COMBO: [&str; 7] = [
+/// `publish_value` is the in-place 8-byte value update.
+const COMBO: [&str; 6] = [
     "commit_bitmap",
     "set_next",
     "set_status",
     "set_head",
     "reset_slot",
-    "wbuf_append",
-    "wbuf_fold",
+    "publish_value",
 ];
 /// Leaf-lock acquire entry points.
-const ACQUIRE: [&str; 3] = ["try_lock_version", "try_lock", "lock_leaf_for_write"];
+const ACQUIRE: [&str; 3] = [
+    "try_lock_version",
+    "lock_leaf_for_write",
+    "lock_leaf_for_delete",
+];
 /// Leaf-lock release entry points (`reset_lock` is the recovery clobber).
-const RELEASE: [&str; 3] = ["unlock_version", "unlock", "reset_lock"];
+const RELEASE: [&str; 2] = ["unlock_version", "reset_lock"];
 /// Atomic ops that would manually mutate a lock word.
 const BUMP_OPS: [&str; 6] = [
     "store",
@@ -115,18 +112,9 @@ const BUMP_OPS: [&str; 6] = [
     "compare_exchange_weak",
 ];
 /// Accessors whose result is the lock word.
-const BUMP_TARGETS: [&str; 2] = ["vlock_ref", "lock_ref"];
+const BUMP_TARGETS: [&str; 1] = ["vlock_ref"];
 /// First-argument substrings identifying p-atomic commit words.
-const COMMIT_KEYWORDS: [&str; 8] = [
-    "bitmap",
-    "off_next",
-    "status",
-    "log_op",
-    "m_head",
-    "root",
-    "wbuf_gen",
-    "wbuf_entry_off",
-];
+const COMMIT_KEYWORDS: [&str; 6] = ["bitmap", "off_next", "status", "log_op", "m_head", "root"];
 
 /// The window opener.
 const OPENER: &str = "begin_checked_op";
@@ -143,7 +131,7 @@ pub struct FileScope {
 
 /// Pool-primitive functions exempt from lints 2–3 inside `pool.rs` (their
 /// bodies *are* the store/publish/flush implementations).
-const POOL_PRIMS: [&str; 11] = [
+const POOL_PRIMS: [&str; 10] = [
     "write_bytes",
     "write_bytes_inner",
     "write_at",
@@ -151,7 +139,6 @@ const POOL_PRIMS: [&str; 11] = [
     "write",
     "write_publish_at",
     "write_publish_word",
-    "write_publish_bytes",
     "persist",
     "fence",
     "flush_line_to_durable",
@@ -289,7 +276,7 @@ pub fn lint_lock_discipline(file: &ParsedFile, scope: FileScope, out: &mut Vec<F
                     format!(
                         "`{}` acquires a leaf lock via `{}` but never releases \
                          one in this function; pair the acquire with \
-                         unlock_version/unlock or justify the handoff",
+                         unlock_version or justify the handoff",
                         f.name, acq.name
                     ),
                 ));

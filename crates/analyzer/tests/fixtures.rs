@@ -76,17 +76,6 @@ fn flush_order_clean() {
 }
 
 #[test]
-fn wbuf_commit_seeded_violations() {
-    expect("wbuf_commit_bad1.rs", &[("raw-publish", 5)]);
-    expect("wbuf_commit_bad2.rs", &[("flush-order", 5)]);
-}
-
-#[test]
-fn wbuf_commit_clean() {
-    expect("wbuf_commit_good.rs", &[]);
-}
-
-#[test]
 fn lock_discipline_seeded_violations() {
     expect("lock_bad1.rs", &[("lock-discipline", 4)]);
     expect("lock_bad2.rs", &[("lock-discipline", 4)]);

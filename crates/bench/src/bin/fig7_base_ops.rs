@@ -20,7 +20,6 @@ fn main() {
     let verbose = args.flag("verbose");
     let want_metrics = args.flag("metrics");
     let batch: usize = args.get("batch", 0);
-    let no_wbuf = args.flag("no-wbuf");
     let out = args.get_str("out");
     let latencies: Vec<u64> = args
         .get_str("latencies")
@@ -41,7 +40,6 @@ fn main() {
             &warm,
             verbose,
             want_metrics,
-            no_wbuf,
             out,
         );
         return;
@@ -140,9 +138,8 @@ fn main() {
 /// so `pmem_persists`/`persists_per_key` isolate the ingest and
 /// `remove_persists`/`remove_persists_per_key` isolate the teardown.
 /// Batched commits stage many slots per leaf behind one flush-span + one
-/// p-atomic bitmap publish, and at `--batch 1` the append buffer (§5.12)
-/// commits each key with a single publish, so both ends beat the
-/// pre-buffer per-key cost; `--no-wbuf` rebuilds that baseline.
+/// p-atomic bitmap publish; `--batch 1` pays the per-key slot +
+/// fingerprint + bitmap commit, the baseline the batches amortize.
 #[allow(clippy::too_many_arguments)]
 fn run_batch_mode(
     batch: usize,
@@ -153,7 +150,6 @@ fn run_batch_mode(
     warm: &[u64],
     verbose: bool,
     want_metrics: bool,
-    no_wbuf: bool,
     out: Option<&str>,
 ) {
     let mut report = Report::new(
@@ -170,11 +166,10 @@ fn run_batch_mode(
     let mut warm: Vec<u64> = warm.to_vec();
     warm.sort_unstable();
     let warm = &warm[..];
-    let wbuf = no_wbuf.then_some(0);
     for &latency in latencies {
         for kind in TreeKind::fig7_set() {
             let (insert_us, remove_us, ins, rem, snap) = if var_keys {
-                let mut t = AnyTreeVar::build_wbuf(kind, pool_mb * 2, latency, wbuf);
+                let mut t = AnyTreeVar::build(kind, pool_mb * 2, latency);
                 if verbose {
                     fptree_bench::enable_pool_checker(t.pool());
                 }
@@ -204,7 +199,7 @@ fn run_batch_mode(
                 let rem = phase_delta(&mid, &after);
                 (insert_us, remove_us, ins, rem, t.metrics_snapshot())
             } else {
-                let mut t = AnyTree::build_wbuf(kind, pool_mb, latency, 8, wbuf);
+                let mut t = AnyTree::build(kind, pool_mb, latency, 8);
                 if verbose {
                     fptree_bench::enable_pool_checker(t.pool());
                 }

@@ -75,24 +75,8 @@ impl AnyTree {
     /// of `pool_mb` MiB emulating `latency_ns` total SCM latency.
     /// `value_size` models larger payloads (Appendix A); pass 8 normally.
     pub fn build(kind: TreeKind, pool_mb: usize, latency_ns: u64, value_size: usize) -> AnyTree {
-        Self::build_wbuf(kind, pool_mb, latency_ns, value_size, None)
-    }
-
-    /// [`AnyTree::build`] with an explicit per-leaf append-buffer size for
-    /// the FPTree variants (`Some(0)` disables the buffer — the `--no-wbuf`
-    /// baseline); `None` keeps each preset's default.
-    pub fn build_wbuf(
-        kind: TreeKind,
-        pool_mb: usize,
-        latency_ns: u64,
-        value_size: usize,
-        wbuf: Option<usize>,
-    ) -> AnyTree {
         let fp = |preset: TreeConfig| {
-            let mut cfg = preset.with_value_size(value_size);
-            if let Some(w) = wbuf {
-                cfg = cfg.with_wbuf_entries(w);
-            }
+            let cfg = preset.with_value_size(value_size);
             let pool = make_pool(pool_mb, latency_ns);
             AnyTree::FPC(ConcurrentFPTree::create(pool, cfg, ROOT_SLOT))
         };
@@ -244,21 +228,7 @@ pub enum AnyTreeVar {
 impl AnyTreeVar {
     /// Builds the variable-size-key variant of `kind` (Table 1 sizes).
     pub fn build(kind: TreeKind, pool_mb: usize, latency_ns: u64) -> AnyTreeVar {
-        Self::build_wbuf(kind, pool_mb, latency_ns, None)
-    }
-
-    /// [`AnyTreeVar::build`] with an explicit append-buffer size for the
-    /// FPTree variants (`Some(0)` disables); `None` keeps preset defaults.
-    pub fn build_wbuf(
-        kind: TreeKind,
-        pool_mb: usize,
-        latency_ns: u64,
-        wbuf: Option<usize>,
-    ) -> AnyTreeVar {
-        let fp = |mut cfg: TreeConfig| {
-            if let Some(w) = wbuf {
-                cfg = cfg.with_wbuf_entries(w);
-            }
+        let fp = |cfg: TreeConfig| {
             let pool = make_pool(pool_mb, latency_ns);
             AnyTreeVar::FPC(ConcurrentFPTreeVar::create(pool, cfg, ROOT_SLOT))
         };

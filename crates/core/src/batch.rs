@@ -126,8 +126,8 @@ impl<K: ConcKey> ConcurrentTree<K> {
             return 0;
         }
         if entries.len() == 1 {
-            // A single-entry batch is exactly a single insert, which has
-            // the cheaper one-publish append path (§5.12).
+            // A single-entry batch is exactly a single insert, minus the
+            // sort and run bookkeeping.
             return self.insert(&entries[0].0, entries[0].1) as usize;
         }
         let _t = self.ctx.metrics.time_op(Op::Insert);
@@ -151,12 +151,6 @@ impl<K: ConcKey> ConcurrentTree<K> {
     fn insert_batch_run(&self, rest: &[(K::Owned, u64)]) -> (usize, usize) {
         let off = self.lock_leaf_for_write(&rest[0].0);
         let leaf = self.ctx.leaf(off);
-        // Compact the append buffer under the leaf lock so the staged-run
-        // free-slot and present-key math below sees slot-only state
-        // (§5.12). Optimistic readers racing the fold fail validation.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
         let mut t = 1;
         while t < rest.len() && self.covered_by(off, &rest[t].0) {
             t += 1;
@@ -288,11 +282,6 @@ impl<K: ConcKey> ConcurrentTree<K> {
     fn remove_batch_run(&self, rest: &[K::Owned]) -> (usize, usize) {
         let off = self.lock_leaf_for_write(&rest[0]);
         let leaf = self.ctx.leaf(off);
-        // Fold first: the probes and the `count() == slots.len()` emptied-
-        // leaf decision below are only correct against slot-only state.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
         let mut t = 1;
         while t < rest.len() && self.covered_by(off, &rest[t]) {
             t += 1;

@@ -168,12 +168,14 @@ fn enc_leaf_off(enc: u64) -> u64 {
     enc >> 1
 }
 
-/// Decision computed inside the speculative section of a delete.
-enum WriteDecision {
-    /// Leaf locked; plain in-leaf delete.
-    Leaf { off: u64 },
-    /// Leaf and its predecessor locked; the leaf will be unlinked.
-    LeafEmpty { off: u64, prev: Option<u64> },
+/// Leaves a delete locked inside its speculative section.
+struct DeleteTarget {
+    /// The leaf covering the key (locked).
+    off: u64,
+    /// The key is the leaf's last one: the leaf will be unlinked, and its
+    /// predecessor `prev` (if any) is locked too.
+    dying: bool,
+    prev: Option<u64>,
 }
 
 /// A concurrent, persistent, hybrid SCM-DRAM B+-Tree — the one tree
@@ -301,6 +303,15 @@ impl<K: ConcKey> ConcurrentTree<K> {
             // by one and would corrupt the allocator.
             return Err(Error::InvalidConfig(format!(
                 "image allocates leaves in groups of {groups}; leaf groups are not supported"
+            )));
+        }
+        let wbuf = meta.wbuf_entries(&pool);
+        if wbuf > 0 {
+            // Images written by builds with a per-leaf append buffer keep
+            // live entries after the KV area and size their leaves for it;
+            // this build's leaves end at the KV area and would drop them.
+            return Err(Error::InvalidConfig(format!(
+                "image buffers {wbuf} writes per leaf; append-buffered leaves are not supported"
             )));
         }
         let layout = LeafLayout::new(&cfg, K::SLOT_SIZE);
@@ -568,11 +579,9 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 self.ctx.metrics.inc(Counter::SeqlockConflicts);
                 return Err(Abort); // leaf locked by a writer
             };
-            // Merged probe (§5.12): append-buffer entries newest-first,
-            // then the slot array. A torn buffer read (racing an append or
-            // fold) is discarded by the version validation below, exactly
-            // like a torn slot read.
-            let result = leaf.find_merged_value::<K>(key);
+            // A torn read (racing a writer) is discarded by the version
+            // validation below.
+            let result = leaf.find_value::<K>(key);
             if !tx.validate() || leaf.version_changed(v) {
                 self.ctx.metrics.inc(Counter::SeqlockConflicts);
                 return Err(Abort);
@@ -634,215 +643,27 @@ impl<K: ConcKey> ConcurrentTree<K> {
         let _op = self.ctx.pool.begin_checked_op("insert");
         let off = self.lock_leaf_for_write(key);
         let leaf = self.ctx.leaf(off);
-        let live = leaf.wbuf_count();
-        if leaf.find_buffered::<K>(key, live).is_some() || leaf.find_slot::<K>(key).is_some() {
+        if leaf.find_slot::<K>(key).is_some() {
             leaf.unlock_version();
             self.ctx.metrics.inc(Counter::InsertExisting);
             return false;
         }
-        // Fast path (§5.12): one p-atomic entry publish instead of the
-        // slot + fingerprint + bitmap persist sequence. The room condition
-        // guarantees a later fold always finds enough free slots.
-        if live < self.ctx.layout.wbuf_entries && leaf.count() + live < self.ctx.layout.m {
-            leaf.wbuf_append::<K>(live, key, value);
-            leaf.unlock_version();
-            self.len.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        if live > 0 {
-            leaf.wbuf_fold::<K>();
-            if leaf.count() < self.ctx.layout.m {
-                leaf.wbuf_append::<K>(0, key, value);
-                leaf.unlock_version();
-                self.len.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
         if leaf.is_full() {
             let (split_key, new_off) = self.split_locked_leaf(off);
             let target = if *key > split_key { new_off } else { off };
-            if self.ctx.layout.wbuf_entries > 0 {
-                self.ctx.leaf(target).wbuf_append::<K>(0, key, value);
-            } else {
-                self.ctx.insert_into_leaf::<K>(target, key, value);
-            }
+            self.ctx.insert_into_leaf::<K>(target, key, value);
             self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
         } else {
             self.ctx.insert_into_leaf::<K>(off, key, value);
-            leaf.unlock_version();
         }
+        leaf.unlock_version();
         self.len.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Concurrent Update (Algorithm 8). Returns false if the key is absent.
     pub fn update(&self, key: &K::Owned, value: u64) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Update);
-        let _op = self.ctx.pool.begin_checked_op("update");
-        let off = self.lock_leaf_for_write(key);
-        let leaf = self.ctx.leaf(off);
-        let live = leaf.wbuf_count();
-        if leaf.find_buffered::<K>(key, live).is_none() && leaf.find_slot::<K>(key).is_none() {
-            leaf.unlock_version();
-            self.ctx.metrics.inc(Counter::UpdateMisses);
-            return false;
-        }
-        // Buffered update (§5.12): a fresh appended entry shadows any older
-        // buffered entry or slot for the same key — probes are newest-first.
-        if live < self.ctx.layout.wbuf_entries && leaf.count() + live < self.ctx.layout.m {
-            leaf.wbuf_append::<K>(live, key, value);
-            leaf.unlock_version();
-            return true;
-        }
-        if live > 0 {
-            leaf.wbuf_fold::<K>();
-            if leaf.count() < self.ctx.layout.m {
-                leaf.wbuf_append::<K>(0, key, value);
-                leaf.unlock_version();
-                return true;
-            }
-        }
-        let slot = leaf
-            .find_slot::<K>(key)
-            .expect("folded key must occupy a slot");
-        if leaf.is_full() {
-            let (split_key, new_off) = self.split_locked_leaf(off);
-            let target = if *key > split_key { new_off } else { off };
-            let tslot = self
-                .ctx
-                .leaf(target)
-                .find_slot::<K>(key)
-                .expect("key must survive its leaf's split");
-            self.ctx.update_in_leaf::<K>(target, tslot, value);
-            self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
-        } else {
-            self.ctx.update_in_leaf::<K>(off, slot, value);
-            leaf.unlock_version();
-        }
-        true
-    }
-
-    /// Concurrent Delete (Algorithm 5). Returns false if the key is absent.
-    pub fn remove(&self, key: &K::Owned) -> bool {
-        let _t = self.ctx.metrics.time_op(Op::Remove);
-        let _op = self.ctx.pool.begin_checked_op("remove");
-        let decision = self.lock.execute(|tx| {
-            let (off, prev) = self.traverse_with_prev(key)?;
-            let leaf = self.ctx.leaf(off);
-            let Some(v) = leaf.version() else {
-                self.ctx.metrics.inc(Counter::LeafLockSpins);
-                return Err(Abort);
-            };
-            // Dying means ONE distinct live key — a buffered update of a
-            // slot-resident key must not count twice, or the remove takes
-            // the in-place path and leaves an empty leaf linked (§5.12).
-            // All reads here precede `try_lock_version(v)`, which fails if
-            // any writer intervened since `v` was read.
-            let dying = leaf.count() + leaf.wbuf_fresh_keys::<K>() == 1
-                && !(prev.is_none() && leaf.next().is_null());
-            if dying {
-                // Lock the predecessor too: its next pointer will change.
-                if let Some(p) = prev {
-                    let pl = self.ctx.leaf(p);
-                    let Some(pv) = pl.version() else {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    };
-                    if !pl.try_lock_version(pv) {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    }
-                }
-                if !leaf.try_lock_version(v) {
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::LeafEmpty { off, prev })
-            } else {
-                if !leaf.try_lock_version(v) {
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::Leaf { off })
-            }
-        });
-
-        match decision {
-            WriteDecision::Leaf { off } => {
-                let leaf = self.ctx.leaf(off);
-                // Fold under the lock: removal must clear a *slot* so the
-                // buffer's prefix-validity invariant survives (§5.12).
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let Some(slot) = leaf.find_slot::<K>(key) else {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::RemoveMisses);
-                    return false;
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                leaf.unlock_version();
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-            WriteDecision::LeafEmpty { off, prev } => {
-                let leaf = self.ctx.leaf(off);
-                // The single live key may sit in the append buffer; fold it
-                // into a slot first so the unlink below empties the bitmap.
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let Some(slot) = leaf.find_slot::<K>(key) else {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::RemoveMisses);
-                    return false;
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-
-                // Inner nodes change inside an exclusive section (the paper
-                // does this inside the TSX transaction), making the leaf
-                // unreachable for new traversals.
-                {
-                    let _g = self.lock.write_lock();
-                    self.remove_from_parents(key, leaf_enc(off));
-                }
-                // Persistent unlink + deallocation outside (Algorithm 6).
-                let li = self.take_log();
-                self.ctx.delete_leaf(off, prev, li);
-                self.log_queue.push(li).ok();
-                if let Some(p) = prev {
-                    self.ctx.leaf(p).unlock_version();
-                }
-                // The deleted leaf's lock dies with it (unreachable).
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-        }
+        self.update_guarded(key, None, value)
     }
 
     /// Updates `key` to `value` only if its current value equals `expected`
@@ -850,25 +671,37 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// it read without clobbering (and leaking) a concurrent writer's fresh
     /// value. Returns false if the key is absent or its value changed.
     pub fn update_if(&self, key: &K::Owned, expected: u64, value: u64) -> bool {
+        self.update_guarded(key, Some(expected), value)
+    }
+
+    /// Shared body of [`Self::update`] and [`Self::update_if`]: one probe
+    /// under the leaf lock, then the commit.
+    ///
+    /// With 8-byte values (every preset) the value word is overwritten in
+    /// place by one p-atomic publish + one persist ([`Leaf::publish_value`]):
+    /// no free slot is needed, so an update never splits. This deviates
+    /// from Algorithm 8, which stages the record in a free slot and swaps
+    /// the two bitmap bits; wider values keep that out-of-place path
+    /// ([`Ctx::update_in_leaf`]) because an in-place multi-word write could
+    /// tear.
+    ///
+    /// [`Leaf::publish_value`]: crate::leaf::Leaf::publish_value
+    fn update_guarded(&self, key: &K::Owned, expected: Option<u64>, value: u64) -> bool {
         let _t = self.ctx.metrics.time_op(Op::Update);
         let _op = self.ctx.pool.begin_checked_op("update");
         let off = self.lock_leaf_for_write(key);
         let leaf = self.ctx.leaf(off);
-        // Fold first (§5.12): the expected-value guard must compare against
-        // the *newest* value, which may sit in the append buffer; after the
-        // fold the slot array holds it.
-        if leaf.wbuf_count() > 0 {
-            leaf.wbuf_fold::<K>();
-        }
         let slot = match leaf.find_slot::<K>(key) {
-            Some(s) if leaf.value(s) == expected => s,
+            Some(s) if expected.is_none_or(|e| leaf.value(s) == e) => s,
             _ => {
                 leaf.unlock_version();
                 self.ctx.metrics.inc(Counter::UpdateMisses);
                 return false;
             }
         };
-        if leaf.is_full() {
+        if self.ctx.layout.value_size == 8 {
+            leaf.publish_value(slot, value);
+        } else if leaf.is_full() {
             let (split_key, new_off) = self.split_locked_leaf(off);
             let target = if *key > split_key { new_off } else { off };
             let tslot = self
@@ -878,12 +711,16 @@ impl<K: ConcKey> ConcurrentTree<K> {
                 .expect("key must survive its leaf's split");
             self.ctx.update_in_leaf::<K>(target, tslot, value);
             self.publish_split(&split_key, off, new_off);
-            leaf.unlock_version();
         } else {
             self.ctx.update_in_leaf::<K>(off, slot, value);
-            leaf.unlock_version();
         }
+        leaf.unlock_version();
         true
+    }
+
+    /// Concurrent Delete (Algorithm 5). Returns false if the key is absent.
+    pub fn remove(&self, key: &K::Owned) -> bool {
+        self.remove_guarded(key, None)
     }
 
     /// Removes `key` only if its current value equals `expected` — the
@@ -892,117 +729,96 @@ impl<K: ConcKey> ConcurrentTree<K> {
     /// the same key, and unconditionally removing would drop that fresh
     /// mapping. Returns false if the key is absent or its value changed.
     pub fn remove_if(&self, key: &K::Owned, expected: u64) -> bool {
+        self.remove_guarded(key, Some(expected))
+    }
+
+    /// Shared body of [`Self::remove`] and [`Self::remove_if`].
+    fn remove_guarded(&self, key: &K::Owned, expected: Option<u64>) -> bool {
         let _t = self.ctx.metrics.time_op(Op::Remove);
         let _op = self.ctx.pool.begin_checked_op("remove");
-        let decision = self.lock.execute(|tx| {
+        let DeleteTarget { off, dying, prev } = self.lock_leaf_for_delete(key);
+        let leaf = self.ctx.leaf(off);
+        let slot = match leaf.find_slot::<K>(key) {
+            Some(s) if expected.is_none_or(|e| leaf.value(s) == e) => s,
+            _ => {
+                leaf.unlock_version();
+                if let Some(p) = prev {
+                    self.ctx.leaf(p).unlock_version();
+                }
+                self.ctx.metrics.inc(Counter::RemoveMisses);
+                return false;
+            }
+        };
+        let bm = leaf.bitmap() & !(1 << slot);
+        leaf.commit_bitmap(bm);
+        K::release_slot(&self.ctx.pool, leaf.key_off(slot));
+        if dying {
+            // Inner nodes change inside an exclusive section (the paper
+            // does this inside the TSX transaction), making the leaf
+            // unreachable for new traversals.
+            {
+                let _g = self.lock.write_lock();
+                self.remove_from_parents(key, leaf_enc(off));
+            }
+            // Persistent unlink + deallocation outside (Algorithm 6). The
+            // deleted leaf's lock dies with it (unreachable).
+            let li = self.take_log();
+            self.ctx.delete_leaf(off, prev, li);
+            self.log_queue.push(li).ok();
+            if let Some(p) = prev {
+                self.ctx.leaf(p).unlock_version();
+            }
+        } else {
+            leaf.unlock_version();
+        }
+        self.len.fetch_sub(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Speculative phase of a delete (Algorithm 5 step 1): traverse, lock
+    /// the leaf, and — when the key is its last one, so the leaf will be
+    /// unlinked — lock its predecessor too, whose next pointer will change.
+    fn lock_leaf_for_delete(&self, key: &K::Owned) -> DeleteTarget {
+        self.lock.execute(|tx| {
             let (off, prev) = self.traverse_with_prev(key)?;
             let leaf = self.ctx.leaf(off);
             let Some(v) = leaf.version() else {
                 self.ctx.metrics.inc(Counter::LeafLockSpins);
                 return Err(Abort);
             };
-            // Distinct live-key count, as in `remove` (§5.12).
-            let dying = leaf.count() + leaf.wbuf_fresh_keys::<K>() == 1
-                && !(prev.is_none() && leaf.next().is_null());
-            if dying {
-                if let Some(p) = prev {
-                    let pl = self.ctx.leaf(p);
-                    let Some(pv) = pl.version() else {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    };
-                    if !pl.try_lock_version(pv) {
-                        self.ctx.metrics.inc(Counter::LeafLockSpins);
-                        return Err(Abort);
-                    }
-                }
-                if !leaf.try_lock_version(v) {
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
+            // These reads precede `try_lock_version(v)`, which fails if any
+            // writer intervened since `v` was read.
+            let dying = leaf.count() == 1 && !(prev.is_none() && leaf.next().is_null());
+            let prev = if dying { prev } else { None };
+            if let Some(p) = prev {
+                let pl = self.ctx.leaf(p);
+                let Some(pv) = pl.version() else {
+                    self.ctx.metrics.inc(Counter::LeafLockSpins);
+                    return Err(Abort);
+                };
+                if !pl.try_lock_version(pv) {
                     self.ctx.metrics.inc(Counter::LeafLockSpins);
                     return Err(Abort);
                 }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    if let Some(p) = prev {
-                        self.ctx.leaf(p).unlock_version();
-                    }
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::LeafEmpty { off, prev })
-            } else {
-                if !leaf.try_lock_version(v) {
-                    self.ctx.metrics.inc(Counter::LeafLockSpins);
-                    return Err(Abort);
-                }
-                if !tx.validate() {
-                    leaf.unlock_version();
-                    self.ctx.metrics.inc(Counter::SeqlockConflicts);
-                    return Err(Abort);
-                }
-                Ok(WriteDecision::Leaf { off })
             }
-        });
-
-        match decision {
-            WriteDecision::Leaf { off } => {
-                let leaf = self.ctx.leaf(off);
-                // Fold first: the value guard must see the newest (possibly
-                // buffered) value, and removal must clear a slot (§5.12).
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let slot = match leaf.find_slot::<K>(key) {
-                    Some(s) if leaf.value(s) == expected => s,
-                    _ => {
-                        leaf.unlock_version();
-                        self.ctx.metrics.inc(Counter::RemoveMisses);
-                        return false;
-                    }
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                leaf.unlock_version();
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
-            }
-            WriteDecision::LeafEmpty { off, prev } => {
-                let leaf = self.ctx.leaf(off);
-                // As in `remove`: the last live key may be buffered.
-                if leaf.wbuf_count() > 0 {
-                    leaf.wbuf_fold::<K>();
-                }
-                let slot = match leaf.find_slot::<K>(key) {
-                    Some(s) if leaf.value(s) == expected => s,
-                    _ => {
-                        leaf.unlock_version();
-                        if let Some(p) = prev {
-                            self.ctx.leaf(p).unlock_version();
-                        }
-                        self.ctx.metrics.inc(Counter::RemoveMisses);
-                        return false;
-                    }
-                };
-                let bm = leaf.bitmap() & !(1 << slot);
-                leaf.commit_bitmap(bm);
-                K::release_slot(&self.ctx.pool, leaf.key_off(slot));
-                {
-                    let _g = self.lock.write_lock();
-                    self.remove_from_parents(key, leaf_enc(off));
-                }
-                let li = self.take_log();
-                self.ctx.delete_leaf(off, prev, li);
-                self.log_queue.push(li).ok();
+            let unlock_prev = || {
                 if let Some(p) = prev {
                     self.ctx.leaf(p).unlock_version();
                 }
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                true
+            };
+            if !leaf.try_lock_version(v) {
+                unlock_prev();
+                self.ctx.metrics.inc(Counter::LeafLockSpins);
+                return Err(Abort);
             }
-        }
+            if !tx.validate() {
+                leaf.unlock_version();
+                unlock_prev();
+                self.ctx.metrics.inc(Counter::SeqlockConflicts);
+                return Err(Abort);
+            }
+            Ok(DeleteTarget { off, dying, prev })
+        })
     }
 
     pub(crate) fn take_log(&self) -> usize {
@@ -1292,22 +1108,18 @@ impl<K: ConcKey> ConcurrentTree<K> {
             if leaf.version().is_none() {
                 return Err(format!("leaf {i} left locked"));
             }
-            let entries = leaf.collect_entries::<K>();
-            let mut merged = leaf.collect_merged::<K>();
-            merged.sort_by(|a, b| a.0.cmp(&b.0));
-            if merged.is_empty() && offs.len() > 1 {
+            let mut entries = leaf.collect_entries::<K>();
+            entries.sort_by(|a, b| a.1.cmp(&b.1));
+            if entries.is_empty() && offs.len() > 1 {
                 return Err(format!("leaf {i} is empty but linked"));
             }
-            if leaf.count() + leaf.wbuf_count() > self.ctx.layout.m {
-                return Err(format!("leaf {i}: buffer overcommits the slot array"));
-            }
-            total += merged.len();
+            total += entries.len();
             for (slot, k) in &entries {
                 if self.ctx.layout.fingerprints && leaf.fingerprint(*slot) != K::fingerprint(k) {
                     return Err(format!("leaf {i} slot {slot}: fingerprint mismatch"));
                 }
             }
-            for (k, _) in &merged {
+            for (_, k) in &entries {
                 if self.get(k).is_none() {
                     return Err(format!("leaf {i}: stored key not reachable via get"));
                 }
@@ -1317,7 +1129,7 @@ impl<K: ConcKey> ConcurrentTree<K> {
                     }
                 }
             }
-            if let Some((max, _)) = merged.last() {
+            if let Some((_, max)) = entries.last() {
                 prev_max = Some(max.clone());
             }
         }
@@ -1344,13 +1156,6 @@ impl<K: ConcKey> ConcurrentTree<K> {
                         if !r.is_null() {
                             expected.insert(r.offset);
                         }
-                    }
-                }
-                // Live append-buffer entries own their key blobs too.
-                for e in 0..leaf.wbuf_count() {
-                    let r = K::slot_ref(&self.ctx.pool, leaf.wbuf_key_off(e));
-                    if !r.is_null() {
-                        expected.insert(r.offset);
                     }
                 }
             }

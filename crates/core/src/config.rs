@@ -37,11 +37,6 @@ pub struct TreeConfig {
     /// Keys and values in separate in-leaf arrays (PTree layout: better
     /// locality for linear key scans without fingerprints).
     pub split_arrays: bool,
-    /// Entries in the per-leaf persistent append buffer (W). Single-key
-    /// inserts/updates append `(tag, key, value)` here with one persist and
-    /// fold into regular slots only on overflow or split; 0 disables
-    /// buffering (every write takes the slot/fingerprint/bitmap path).
-    pub wbuf_entries: usize,
     /// Data-parallel probe fast paths (default on): the fingerprint scan
     /// compares 8 fingerprints per word (SWAR — no intrinsics, stable
     /// Rust) instead of byte-at-a-time, and leaves cache a transient
@@ -62,7 +57,6 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: true,
             split_arrays: false,
-            wbuf_entries: 8,
             swar_probe: true,
         }
     }
@@ -77,7 +71,6 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: true,
             split_arrays: false,
-            wbuf_entries: 8,
             swar_probe: true,
         }
     }
@@ -91,7 +84,6 @@ impl TreeConfig {
             value_size: 8,
             fingerprints: false,
             split_arrays: true,
-            wbuf_entries: 0,
             swar_probe: true,
         }
     }
@@ -138,12 +130,6 @@ impl TreeConfig {
         self
     }
 
-    /// Sets the per-leaf append-buffer capacity (0 disables buffering).
-    pub fn with_wbuf_entries(mut self, w: usize) -> Self {
-        self.wbuf_entries = w;
-        self
-    }
-
     /// Enables or disables the SWAR probe + sentinel fast paths.
     pub fn with_swar_probe(mut self, on: bool) -> Self {
         self.swar_probe = on;
@@ -175,12 +161,6 @@ impl TreeConfig {
         }
         if !self.value_size.is_multiple_of(8) {
             return Err("value size must be 8-byte aligned".to_string());
-        }
-        if self.wbuf_entries > MAX_LEAF_CAPACITY {
-            return Err(format!(
-                "write buffer must hold at most {MAX_LEAF_CAPACITY} entries, got {}",
-                self.wbuf_entries
-            ));
         }
         Ok(())
     }
@@ -233,23 +213,6 @@ mod tests {
     #[should_panic(expected = "value size")]
     fn validate_rejects_tiny_value() {
         TreeConfig::fptree().with_value_size(4).validate();
-    }
-
-    #[test]
-    fn write_buffer_defaults_per_preset() {
-        // FPTree presets buffer single-key writes; the PTree reproduces the
-        // plain slot path and must stay buffer-free.
-        assert_eq!(TreeConfig::fptree().wbuf_entries, 8);
-        assert_eq!(TreeConfig::fptree_concurrent().wbuf_entries, 8);
-        assert_eq!(TreeConfig::fptree_var().wbuf_entries, 8);
-        assert_eq!(TreeConfig::ptree().wbuf_entries, 0);
-        assert_eq!(TreeConfig::ptree_var().wbuf_entries, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "write buffer")]
-    fn validate_rejects_oversized_wbuf() {
-        TreeConfig::fptree().with_wbuf_entries(65).validate();
     }
 
     #[test]

@@ -84,9 +84,10 @@ impl Ctx {
         leaf.commit_bitmap(leaf.bitmap() | (1 << slot));
     }
 
-    /// In-place update (Algorithms 8 / 16): stage the new record in a free
-    /// slot, then one p-atomic bitmap write retires the old slot and
-    /// publishes the new one.
+    /// Out-of-place update (Algorithms 8 / 16): stage the new record in a
+    /// free slot, then one p-atomic bitmap write retires the old slot and
+    /// publishes the new one. The write path for values wider than one
+    /// word; 8-byte values update in place ([`Leaf::publish_value`]).
     pub fn update_in_leaf<K: KeyKind>(&self, off: u64, old_slot: usize, value: u64) {
         let leaf = self.leaf(off);
         let new_slot = leaf
@@ -134,13 +135,6 @@ impl Ctx {
     /// The body of a leaf split, shared between the forward path and
     /// recovery redo (Algorithm 3 lines 6–14).
     fn split_copy_commit<K: KeyKind>(&self, old: u64, new: u64) -> K::Owned {
-        // Splits only run on folded leaves (the write paths fold before
-        // splitting), so the copied buffer region holds only dead entries.
-        debug_assert_eq!(
-            self.leaf(old).wbuf_count(),
-            0,
-            "split requires a folded buffer"
-        );
         // Copy the entire leaf content, then persist it. The transient
         // tail of the head — lock word and sentinel record — must not be
         // copied: the new leaf starts unlocked and record-free.
@@ -301,15 +295,10 @@ impl Ctx {
         }
         let leaf = self.leaf(off);
         let bm = leaf.bitmap();
-        // Valid references: the valid slots plus the *live* append-buffer
-        // prefix — a fold interrupted after staging leaves slot copies of
-        // live buffered blobs, which must be reset, not released.
-        let live = leaf.wbuf_count();
-        let mut valid_refs: Vec<RawPPtr> = (0..self.layout.m)
+        let valid_refs: Vec<RawPPtr> = (0..self.layout.m)
             .filter(|s| bm & (1 << s) != 0)
             .map(|s| K::slot_ref(&self.pool, leaf.key_off(s)))
             .collect();
-        valid_refs.extend((0..live).map(|i| K::slot_ref(&self.pool, leaf.wbuf_key_off(i))));
         for slot in 0..self.layout.m {
             if bm & (1 << slot) != 0 {
                 continue;
@@ -327,40 +316,6 @@ impl Ctx {
                 // A stale pointer that was never a live allocation: freeing
                 // it would corrupt the allocator, so reject the image.
                 return Err(Error::corrupt("orphan key blob pointer", r.offset));
-            }
-        }
-        Ok(())
-    }
-
-    /// Leak audit for a leaf's *dead* append-buffer entries, after the
-    /// live prefix has been folded into slots. A dead entry's key field is
-    /// either null, a duplicate of a valid slot's blob (folded winner or
-    /// crashed append of an existing key's update → reset), or an orphan
-    /// blob from a crashed append (allocated, but the entry publish never
-    /// landed → release).
-    pub fn audit_wbuf<K: KeyKind>(&self, off: u64) -> Result<(), Error> {
-        if !K::IS_VAR || self.layout.wbuf_entries == 0 {
-            return Ok(());
-        }
-        let leaf = self.leaf(off);
-        debug_assert_eq!(leaf.wbuf_count(), 0, "audit_wbuf requires a folded buffer");
-        let bm = leaf.bitmap();
-        let valid_refs: Vec<RawPPtr> = (0..self.layout.m)
-            .filter(|s| bm & (1 << s) != 0)
-            .map(|s| K::slot_ref(&self.pool, leaf.key_off(s)))
-            .collect();
-        for i in 0..self.layout.wbuf_entries {
-            let key_off = leaf.wbuf_key_off(i);
-            if !K::slot_nonnull(&self.pool, key_off) {
-                continue;
-            }
-            let r = K::slot_ref(&self.pool, key_off);
-            if valid_refs.contains(&r) {
-                K::reset_slot(&self.pool, key_off);
-            } else if self.pool.looks_like_block(r) {
-                K::release_slot(&self.pool, key_off);
-            } else {
-                return Err(Error::corrupt("orphan buffer blob pointer", r.offset));
             }
         }
         Ok(())
@@ -411,16 +366,9 @@ impl Ctx {
             // Sentinels are transient like the lock: bytes surviving in the
             // image are stale records from the crashed run — wipe them.
             leaf.sentinel_clear();
-            // Order matters: the slot audit first (with live buffer
-            // entries among the valid references, so a crashed fold's
-            // staged copies are reset, not released), then the fold of
-            // live entries into slots, then the dead-entry audit for
-            // blobs a crashed append left behind. All three are
-            // leaf-local and deterministic, keeping parallel recovery
+            // Leaf-local and deterministic, keeping parallel recovery
             // bit-identical to serial.
             self.audit_leaf::<K>(off)?;
-            leaf.wbuf_fold::<K>();
-            self.audit_wbuf::<K>(off)?;
             Ok((leaf.count(), leaf.max_key::<K>()))
         };
         let workers = threads.min(chain.len()).max(1);

@@ -14,12 +14,6 @@
 //! cache line — the leaf head a search must always read. The PTree variant
 //! drops fingerprints and splits the KV area into a key array followed by a
 //! value array (better locality for its linear key scans).
-//!
-//! When [`TreeConfig::wbuf_entries`] > 0 the KV area is followed by the
-//! persistent append buffer (§5.12): an 8-byte generation word, then W
-//! entries of `| tag (8) | key slot | value |`. Single-key writes land here
-//! with one multi-word publish; the tag embeds a checksum over the entry and
-//! the leaf generation, so recovery self-validates each entry.
 
 use crate::config::TreeConfig;
 use fptree_pmem::CACHE_LINE;
@@ -50,7 +44,7 @@ pub struct LeafLayout {
     pub off_fps: usize,
     /// Offset of the 16-byte persistent next pointer.
     pub off_next: usize,
-    /// Offset of the one-byte transient lock.
+    /// Offset of the 8-byte transient lock (sequence-lock version) word.
     pub off_lock: usize,
     /// Offset of the 32-byte transient sentinel record: the successor's
     /// minimum key (order-preserving 8-byte encoding), the successor's
@@ -62,12 +56,6 @@ pub struct LeafLayout {
     pub off_sentinel: usize,
     /// Offset of the KV area.
     pub off_kv: usize,
-    /// Entries in the persistent append buffer (0 = no buffer).
-    pub wbuf_entries: usize,
-    /// Offset of the append-buffer region: the generation word, followed by
-    /// `wbuf_entries` tagged entries. Equals the end of the KV area even
-    /// when the buffer is disabled (region length 0).
-    pub off_wbuf: usize,
     /// Total leaf size, rounded up to a cache line.
     pub size: usize,
 }
@@ -88,16 +76,7 @@ impl LeafLayout {
         // KV area 8-byte aligned after the sentinel record.
         let off_kv = off_sentinel + SENTINEL_BYTES;
         let kv_len = m * (key_slot + cfg.value_size);
-        // The KV area is a whole number of 8-byte fields, so off_wbuf (and
-        // every buffer entry: 8-byte tag + key slot + value) stays 8-aligned,
-        // which the multi-word entry publish requires.
-        let off_wbuf = off_kv + kv_len;
-        let wbuf_len = if cfg.wbuf_entries > 0 {
-            8 + cfg.wbuf_entries * (8 + key_slot + cfg.value_size)
-        } else {
-            0
-        };
-        let size = (off_wbuf + wbuf_len + CACHE_LINE - 1) & !(CACHE_LINE - 1);
+        let size = (off_kv + kv_len + CACHE_LINE - 1) & !(CACHE_LINE - 1);
         LeafLayout {
             m,
             key_slot,
@@ -111,8 +90,6 @@ impl LeafLayout {
             off_lock,
             off_sentinel,
             off_kv,
-            wbuf_entries: cfg.wbuf_entries,
-            off_wbuf,
             size,
         }
     }
@@ -148,38 +125,6 @@ impl LeafLayout {
         } else {
             8
         }
-    }
-
-    /// Bytes per append-buffer entry: tag word + key slot + value.
-    #[inline]
-    pub fn wbuf_entry_size(&self) -> usize {
-        8 + self.key_slot + self.value_size
-    }
-
-    /// Byte offset of the buffer's generation word.
-    #[inline]
-    pub fn wbuf_gen_off(&self) -> usize {
-        debug_assert!(self.wbuf_entries > 0);
-        self.off_wbuf
-    }
-
-    /// Byte offset of append-buffer entry `i` (its tag word).
-    #[inline]
-    pub fn wbuf_entry_off(&self, i: usize) -> usize {
-        debug_assert!(i < self.wbuf_entries);
-        self.off_wbuf + 8 + i * self.wbuf_entry_size()
-    }
-
-    /// Byte offset of entry `i`'s key slot.
-    #[inline]
-    pub fn wbuf_key_off(&self, i: usize) -> usize {
-        self.wbuf_entry_off(i) + 8
-    }
-
-    /// Byte offset of entry `i`'s value.
-    #[inline]
-    pub fn wbuf_val_off(&self, i: usize) -> usize {
-        self.wbuf_entry_off(i) + 8 + self.key_slot
     }
 
     /// Bitmask with the low `m` bits set: a full leaf's bitmap.
@@ -228,13 +173,6 @@ mod tests {
             spans.push((l.key_off(i), 8));
             spans.push((l.val_off(i), 24));
         }
-        assert_eq!(l.wbuf_entries, 8);
-        spans.push((l.wbuf_gen_off(), 8));
-        for i in 0..l.wbuf_entries {
-            spans.push((l.wbuf_entry_off(i), 8));
-            spans.push((l.wbuf_key_off(i), 8));
-            spans.push((l.wbuf_val_off(i), 24));
-        }
         spans.sort();
         for w in spans.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {:?} {:?}", w[0], w[1]);
@@ -262,20 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn wbuf_region_follows_kv_area() {
+    fn leaf_ends_at_the_kv_area() {
+        // The KV area is the last region: the leaf is exactly its end,
+        // rounded up to a whole cache line.
         let l = LeafLayout::new(&TreeConfig::fptree(), 8);
-        assert_eq!(l.off_wbuf, l.off_kv + 56 * 16);
-        assert_eq!(l.wbuf_entry_size(), 24);
-        assert_eq!(l.wbuf_entry_off(0), l.off_wbuf + 8);
-        assert_eq!(l.wbuf_entry_off(1) - l.wbuf_entry_off(0), 24);
-        let last = l.wbuf_entry_off(l.wbuf_entries - 1) + l.wbuf_entry_size();
-        assert!(last <= l.size);
-
-        // Disabled buffer adds no bytes.
-        let off = LeafLayout::new(&TreeConfig::fptree().with_wbuf_entries(0), 8);
-        assert_eq!(off.off_wbuf, off.off_kv + 56 * 16);
-        assert!(off.size <= l.size);
-        assert_eq!(off.wbuf_entries, 0);
+        let end = l.off_kv + 56 * 16;
+        assert_eq!(l.size, end.div_ceil(CACHE_LINE) * CACHE_LINE);
     }
 
     #[test]
@@ -297,7 +227,6 @@ mod tests {
                     value_size: 8,
                     fingerprints: fps,
                     split_arrays: split,
-                    wbuf_entries: 4,
                     swar_probe: true,
                 };
                 for ks in [8usize, 16] {
@@ -307,12 +236,6 @@ mod tests {
                         assert_eq!(l.val_off(i) % 8, 0);
                     }
                     assert_eq!(l.off_next % 8, 0);
-                    assert_eq!(l.wbuf_gen_off() % 8, 0);
-                    for i in 0..l.wbuf_entries {
-                        assert_eq!(l.wbuf_entry_off(i) % 8, 0);
-                        assert_eq!(l.wbuf_key_off(i) % 8, 0);
-                        assert_eq!(l.wbuf_val_off(i) % 8, 0);
-                    }
                 }
             }
         }

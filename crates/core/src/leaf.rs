@@ -7,7 +7,7 @@
 //! algorithms call `persist` exactly where the paper does, which is what the
 //! crash-consistency tests verify.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 
 use fptree_pmem::{PmemPool, RawPPtr, CACHE_LINE};
 
@@ -129,33 +129,6 @@ impl<'a> Leaf<'a> {
     }
 
     // ---------------------------------------------------------------- lock
-
-    /// The transient lock byte as an atomic (never persisted; recovery
-    /// resets it).
-    #[inline]
-    pub fn lock_ref(&self) -> &AtomicU8 {
-        self.pool.atomic_u8(self.off + self.layout.off_lock as u64)
-    }
-
-    /// Attempts to take the leaf lock (0 → 1).
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        self.lock_ref()
-            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// True if some thread holds the leaf lock.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.lock_ref().load(Ordering::Acquire) != 0
-    }
-
-    /// Releases the leaf lock.
-    #[inline]
-    pub fn unlock(&self) {
-        self.lock_ref().store(0, Ordering::Release);
-    }
 
     /// Forces the lock word to zero (recovery resets all leaf locks).
     #[inline]
@@ -374,6 +347,22 @@ impl<'a> Leaf<'a> {
         }
     }
 
+    /// Overwrites slot `i`'s 8-byte value word in place with one p-atomic
+    /// publish and one persist: the single-key update of a leaf whose
+    /// values are one word wide. The word is 8-aligned and never straddles
+    /// a cache line, so a crash leaves either the old or the new value;
+    /// the key, fingerprint and bitmap are untouched, so no slot is
+    /// consumed and no split is needed. Callers must hold the leaf lock —
+    /// its release advances the version word that optimistic readers
+    /// validate — and wider values (`value_size > 8`) must take the
+    /// out-of-place slot + bitmap path instead, since they could tear.
+    pub fn publish_value(&self, slot: usize, v: u64) {
+        debug_assert_eq!(self.layout.value_size, 8);
+        let off = self.val_off(slot);
+        self.pool.write_publish_word(off, v);
+        self.pool.persist(off, 8);
+    }
+
     /// Persists slot `i`'s key+value region.
     #[inline]
     pub fn persist_slot(&self, slot: usize) {
@@ -385,25 +374,6 @@ impl<'a> Leaf<'a> {
             self.pool.persist(
                 self.key_off(slot),
                 self.layout.key_slot + self.layout.value_size,
-            );
-        }
-    }
-
-    /// Persists the key+value regions of the contiguous slot range
-    /// `[lo, hi]` with one flush span per region — the amortized form of
-    /// [`Leaf::persist_slot`] used by the batched write path.
-    pub fn persist_slot_span(&self, lo: usize, hi: usize) {
-        debug_assert!(lo <= hi && hi < self.layout.m);
-        let n = hi - lo + 1;
-        if self.layout.split_arrays {
-            self.pool
-                .persist(self.key_off(lo), n * self.layout.key_slot);
-            self.pool
-                .persist(self.val_off(lo), n * self.layout.value_size);
-        } else {
-            self.pool.persist(
-                self.key_off(lo),
-                n * (self.layout.key_slot + self.layout.value_size),
             );
         }
     }
@@ -593,6 +563,16 @@ impl<'a> Leaf<'a> {
         }
     }
 
+    /// Point lookup returning the logical value. A validated successor
+    /// sentinel short-circuits keys that provably order past this leaf
+    /// without touching any SCM-resident key line.
+    pub fn find_value<K: KeyKind>(&self, key: &K::Owned) -> Option<u64> {
+        if self.sentinel_excludes::<K>(key) {
+            return None;
+        }
+        self.find_slot::<K>(key).map(|s| self.value(s))
+    }
+
     /// Collects every valid `(slot, key)` pair (splits, scans, recovery),
     /// iterating set bitmap bits word-wise via `trailing_zeros`.
     pub fn collect_entries<K: KeyKind>(&self) -> Vec<(usize, K::Owned)> {
@@ -607,10 +587,6 @@ impl<'a> Leaf<'a> {
     }
 
     /// Largest key in the leaf (recovery: discriminator for inner rebuild).
-    ///
-    /// Covers the *merged* key set: bitmap-valid slots AND live unfolded
-    /// buffer entries. A buffered key larger than every slot-resident key
-    /// previously yielded a wrong split/rebuild discriminator.
     pub fn max_key<K: KeyKind>(&self) -> Option<K::Owned> {
         let mut bm = self.bitmap() & self.layout.full_bitmap();
         let mut max: Option<K::Owned> = None;
@@ -622,318 +598,7 @@ impl<'a> Leaf<'a> {
                 max = Some(k);
             }
         }
-        for i in 0..self.wbuf_count() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if max.as_ref().is_none_or(|m| k > *m) {
-                max = Some(k);
-            }
-        }
         max
-    }
-
-    // ------------------------------------------------------ append buffer
-    //
-    // The per-leaf persistent write buffer (§5.12): W entries of
-    // `| tag (8) | key slot | value |` after the KV area, preceded by an
-    // 8-byte generation word. A single-key write appends the whole entry
-    // as ONE word-aligned multi-word publish followed by ONE persist —
-    // the tag word embeds a 48-bit checksum over (generation, index,
-    // fingerprint, key slot, value), so recovery validates each entry
-    // independently and any torn sibling word makes the tag mismatch.
-    // Fold (compaction into regular slots) bumps the generation word
-    // p-atomically, which invalidates every entry at once; live entries
-    // therefore always form a prefix, and `wbuf_count` is the length of
-    // the valid prefix.
-
-    /// True when the layout carries an append buffer.
-    #[inline]
-    pub fn has_wbuf(&self) -> bool {
-        self.layout.wbuf_entries > 0
-    }
-
-    /// Reads the buffer generation word.
-    #[inline]
-    pub fn wbuf_gen(&self) -> u64 {
-        self.pool
-            .read_word(self.off + self.layout.wbuf_gen_off() as u64)
-    }
-
-    /// Absolute pool offset of buffer entry `i`'s key slot.
-    #[inline]
-    pub fn wbuf_key_off(&self, i: usize) -> u64 {
-        self.off + self.layout.wbuf_key_off(i) as u64
-    }
-
-    /// Reads buffer entry `i`'s logical value.
-    #[inline]
-    pub fn wbuf_value(&self, i: usize) -> u64 {
-        self.pool
-            .read_word(self.off + self.layout.wbuf_val_off(i) as u64)
-    }
-
-    /// Fingerprint byte stored in entry `i`'s tag.
-    #[inline]
-    pub fn wbuf_fp(&self, i: usize) -> u8 {
-        let tag = self
-            .pool
-            .read_word(self.off + self.layout.wbuf_entry_off(i) as u64);
-        (tag >> 8) as u8
-    }
-
-    /// Tag word for an entry: 48-bit checksum over the generation, index,
-    /// fingerprint and payload, above the fingerprint byte and a nonzero
-    /// marker byte (so a zeroed leaf has an empty buffer).
-    fn wbuf_tag_for(gen: u64, idx: usize, fp: u8, payload: &[u8]) -> u64 {
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let x = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^ (x >> 32)
-        }
-        debug_assert!(payload.len().is_multiple_of(8));
-        let mut h = mix(mix(0x5BF0_3635, gen), ((idx as u64) << 8) | fp as u64);
-        for w in payload.chunks_exact(8) {
-            h = mix(h, u64::from_le_bytes(w.try_into().unwrap()));
-        }
-        (h & !0xFFFFu64) | ((fp as u64) << 8) | 1
-    }
-
-    /// Validates entry `i` against the current generation: recomputes the
-    /// tag checksum from the stored payload bytes.
-    pub fn wbuf_entry_valid(&self, i: usize) -> bool {
-        let l = self.layout;
-        let tag = self.pool.read_word(self.off + l.wbuf_entry_off(i) as u64);
-        if tag == 0 {
-            return false;
-        }
-        let plen = l.key_slot + l.value_size;
-        let mut payload = vec![0u8; plen];
-        self.pool.read_bytes(self.wbuf_key_off(i), &mut payload);
-        tag == Self::wbuf_tag_for(self.wbuf_gen(), i, (tag >> 8) as u8, &payload)
-    }
-
-    /// Number of live buffer entries (length of the valid prefix).
-    pub fn wbuf_count(&self) -> usize {
-        if self.layout.wbuf_entries == 0 {
-            return 0;
-        }
-        let mut n = 0;
-        while n < self.layout.wbuf_entries && self.wbuf_entry_valid(n) {
-            n += 1;
-        }
-        n
-    }
-
-    /// Appends `(key, value)` as entry `idx` with ONE publish + ONE
-    /// persist. The key slot is staged first (for variable-size keys the
-    /// allocator publishes the blob pointer into the entry's key field,
-    /// per the leak-prevention interface), then the whole entry — tag,
-    /// key slot, value — commits as a single multi-word publish; the
-    /// checksummed tag is the commit record.
-    pub fn wbuf_append<K: KeyKind>(&self, idx: usize, key: &K::Owned, value: u64) {
-        let l = self.layout;
-        debug_assert!(idx < l.wbuf_entries);
-        K::write_slot(self.pool, self.wbuf_key_off(idx), key);
-        let mut entry = vec![0u8; l.wbuf_entry_size()];
-        self.pool
-            .read_bytes(self.wbuf_key_off(idx), &mut entry[8..8 + l.key_slot]);
-        entry[8 + l.key_slot..8 + l.key_slot + 8].copy_from_slice(&value.to_le_bytes());
-        for b in &mut entry[8 + l.key_slot + 8..] {
-            *b = 0xA5; // payload body convention, as Leaf::set_value
-        }
-        let fp = K::fingerprint(key);
-        let tag = Self::wbuf_tag_for(self.wbuf_gen(), idx, fp, &entry[8..]);
-        entry[..8].copy_from_slice(&tag.to_le_bytes());
-        let eoff = self.off + l.wbuf_entry_off(idx) as u64;
-        // analyzer:allow(flush-order) — the staged key slot lies inside the
-        // publish span and is re-written by the publish image itself, so the
-        // single persist below makes both durable together.
-        self.pool.write_publish_bytes(eoff, &entry);
-        self.pool.persist(eoff, l.wbuf_entry_size());
-        // An append is a commit point like the bitmap: invalidate sentinel
-        // records other leaves hold about this one.
-        self.version_bump();
-    }
-
-    /// Searches the live buffer prefix for `key`, newest entry first
-    /// (newer appends shadow older ones and slot copies). Charges the SCM
-    /// read cost of the scanned region.
-    pub fn find_buffered<K: KeyKind>(&self, key: &K::Owned, live: usize) -> Option<usize> {
-        if live == 0 {
-            return None;
-        }
-        let l = self.layout;
-        self.pool
-            .touch_read(self.off + l.off_wbuf as u64, 8 + live * l.wbuf_entry_size());
-        let fp = K::fingerprint(key);
-        (0..live).rev().find(|&i| {
-            self.wbuf_fp(i) == fp && K::slot_matches(self.pool, self.wbuf_key_off(i), key)
-        })
-    }
-
-    /// Merged point lookup: the live buffer (newest first), then the
-    /// slots. Returns the logical value. A validated successor sentinel
-    /// short-circuits keys that provably order past this leaf without
-    /// touching any SCM-resident key line.
-    pub fn find_merged_value<K: KeyKind>(&self, key: &K::Owned) -> Option<u64> {
-        if self.sentinel_excludes::<K>(key) {
-            return None;
-        }
-        let live = self.wbuf_count();
-        if let Some(i) = self.find_buffered::<K>(key, live) {
-            return Some(self.wbuf_value(i));
-        }
-        self.find_slot::<K>(key).map(|s| self.value(s))
-    }
-
-    /// Collects the merged `(key, value)` view: every distinct key in the
-    /// buffer (newest wins) and the slots (shadowed by the buffer). The
-    /// result is unsorted, like [`Leaf::collect_entries`].
-    pub fn collect_merged<K: KeyKind>(&self) -> Vec<(K::Owned, u64)> {
-        let live = self.wbuf_count();
-        let mut out: Vec<(K::Owned, u64)> = Vec::new();
-        for i in (0..live).rev() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if !out.iter().any(|(ok, _)| *ok == k) {
-                out.push((k, self.wbuf_value(i)));
-            }
-        }
-        for (s, k) in self.collect_entries::<K>() {
-            if !out.iter().any(|(ok, _)| *ok == k) {
-                out.push((k, self.value(s)));
-            }
-        }
-        out
-    }
-
-    /// Number of distinct buffered keys not already present in a slot —
-    /// how many slots a fold of the current buffer would consume.
-    pub fn wbuf_fresh_keys<K: KeyKind>(&self) -> usize {
-        let live = self.wbuf_count();
-        let mut fresh = 0;
-        for i in (0..live).rev() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            let newer = (i + 1..live).any(|j| K::slot_matches(self.pool, self.wbuf_key_off(j), &k));
-            if !newer && self.find_slot::<K>(&k).is_none() {
-                fresh += 1;
-            }
-        }
-        fresh
-    }
-
-    /// Folds the live buffer into regular slots (compaction): stages each
-    /// distinct key's newest value into a free slot (or retires the key's
-    /// old slot), persists the staged slots + fingerprints coalesced,
-    /// commits ONE bitmap word, then p-atomically bumps the generation
-    /// word — which invalidates every buffer entry at once — and finally
-    /// releases superseded resources. Idempotent across a crash at any
-    /// point: re-folding skips entries whose bytes already sit in a slot,
-    /// and the recovery audits resolve every partially-staged state.
-    ///
-    /// The caller must hold the leaf lock (or be recovery's exclusive
-    /// owner) and must have ensured `count + live <= m` — the append
-    /// invariant — so staging never needs a split.
-    pub fn wbuf_fold<K: KeyKind>(&self) {
-        let live = self.wbuf_count();
-        if live == 0 {
-            return;
-        }
-        let l = self.layout;
-        // Newest-first winners per distinct key; older same-key entries
-        // are shadowed and only their resources are released.
-        let mut winners: Vec<usize> = Vec::new();
-        let mut shadowed: Vec<usize> = Vec::new();
-        for i in (0..live).rev() {
-            let k = K::read_slot(self.pool, self.wbuf_key_off(i));
-            if winners
-                .iter()
-                .any(|&w| K::slot_matches(self.pool, self.wbuf_key_off(w), &k))
-            {
-                shadowed.push(i);
-            } else {
-                winners.push(i);
-            }
-        }
-        let bm = self.bitmap();
-        let mut free = !bm & l.full_bitmap();
-        let mut staged: Vec<usize> = Vec::new();
-        let mut retired_bits = 0u64;
-        let mut retired_slots: Vec<usize> = Vec::new();
-        let mut folded: Vec<usize> = Vec::new(); // winners whose bytes moved or already sit in a slot
-        for &e in &winners {
-            let key = K::read_slot(self.pool, self.wbuf_key_off(e));
-            let val = self.wbuf_value(e);
-            let mut ekey = vec![0u8; l.key_slot];
-            self.pool.read_bytes(self.wbuf_key_off(e), &mut ekey);
-            if let Some(s) = self.find_slot::<K>(&key) {
-                let mut skey = vec![0u8; l.key_slot];
-                self.pool.read_bytes(self.key_off(s), &mut skey);
-                if skey == ekey && self.value(s) == val {
-                    // Crash-redo duplicate: a previous fold already staged
-                    // this exact entry (the slot owns the key blob). Only
-                    // the generation bump below is still needed.
-                    folded.push(e);
-                    continue;
-                }
-                retired_bits |= 1 << s;
-                retired_slots.push(s);
-            }
-            debug_assert!(free != 0, "append invariant: fold always has room");
-            let s = free.trailing_zeros() as usize;
-            free &= free - 1;
-            // Raw byte move of the key slot: for variable-size keys the
-            // blob pointer transfers to the slot without reallocating.
-            self.pool.write_bytes(self.key_off(s), &ekey);
-            self.set_value(s, val);
-            if l.fingerprints {
-                self.set_fingerprint(s, self.wbuf_fp(e));
-            }
-            staged.push(s);
-            folded.push(e);
-        }
-        if !staged.is_empty() {
-            staged.sort_unstable();
-            self.persist_slots(&staged);
-            if l.fingerprints {
-                self.persist_fingerprints(&staged);
-            }
-            let mut nbm = bm & !retired_bits;
-            for &s in &staged {
-                nbm |= 1 << s;
-            }
-            self.commit_bitmap(nbm);
-        }
-        // Invalidate the whole buffer p-atomically: every entry checksum
-        // embeds the old generation.
-        let goff = self.off + l.wbuf_gen_off() as u64;
-        self.pool
-            .write_publish_word(goff, self.wbuf_gen().wrapping_add(1));
-        self.pool.persist(goff, 8);
-        // Release what the fold made unreachable. Updated keys' old slots
-        // hold a *different* blob than the staged copy, so release (the
-        // allocator nulls the owner word persistently); same for shadowed
-        // entries' blobs.
-        for &s in &retired_slots {
-            K::release_slot(self.pool, self.key_off(s));
-        }
-        for &e in &shadowed {
-            K::release_slot(self.pool, self.wbuf_key_off(e));
-        }
-        // Folded winners' key fields duplicate their slot's pointer; zero
-        // them so no dead entry outlives the blob it references (a later
-        // remove may free it). Plain single-word stores + one coalesced
-        // persist; a crash inside this window is resolved by recovery's
-        // dead-entry audit (the pointers still duplicate live slots).
-        if K::IS_VAR && !folded.is_empty() {
-            let mut ranges = Vec::new();
-            for &e in &folded {
-                let koff = self.wbuf_key_off(e);
-                for w in 0..l.key_slot / 8 {
-                    self.pool.write_word(koff + 8 * w as u64, 0);
-                }
-                ranges.push((koff, l.key_slot));
-            }
-            self.persist_merged(&mut ranges);
-        }
     }
 }
 
@@ -1023,20 +688,6 @@ mod tests {
         let p = RawPPtr::new(pool.file_id(), 0x8000);
         leaf.set_next(p);
         assert_eq!(leaf.next(), p);
-    }
-
-    #[test]
-    fn lock_protocol() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        assert!(!leaf.is_locked());
-        assert!(leaf.try_lock());
-        assert!(leaf.is_locked());
-        assert!(!leaf.try_lock(), "second lock attempt must fail");
-        leaf.unlock();
-        assert!(leaf.try_lock());
-        leaf.reset_lock();
-        assert!(!leaf.is_locked());
     }
 
     #[test]
@@ -1168,54 +819,19 @@ mod tests {
     }
 
     #[test]
-    fn wbuf_append_costs_one_persist_and_probes_newest_first() {
+    fn publish_value_costs_one_persist_and_keeps_the_slot() {
         let (pool, layout, off) = setup();
         let leaf = Leaf::new(&pool, &layout, off);
-        assert!(leaf.has_wbuf());
-        assert_eq!(leaf.wbuf_count(), 0, "zeroed leaf has an empty buffer");
+        insert_fixed(&leaf, 3, 42, 420);
+        let bm = leaf.bitmap();
         let before = pool.stats().snapshot();
-        leaf.wbuf_append::<FixedKey>(0, &42, 420);
+        leaf.publish_value(3, 421);
         let after = pool.stats().snapshot();
-        assert_eq!(
-            after.persist_calls - before.persist_calls,
-            1,
-            "the append commit is exactly one persist"
-        );
-        assert_eq!(leaf.wbuf_count(), 1);
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(420));
-        // A newer append of the same key shadows the older entry.
-        leaf.wbuf_append::<FixedKey>(1, &42, 421);
-        assert_eq!(leaf.wbuf_count(), 2);
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(421));
-        assert_eq!(leaf.wbuf_fresh_keys::<FixedKey>(), 1);
-        // Buffered entries shadow slot copies too.
-        insert_fixed(&leaf, 0, 7, 70);
-        leaf.wbuf_append::<FixedKey>(2, &7, 71);
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&7), Some(71));
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&404), None);
-    }
-
-    #[test]
-    fn wbuf_fold_moves_newest_values_into_slots() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        insert_fixed(&leaf, 0, 7, 70); // slot copy, to be superseded
-        leaf.wbuf_append::<FixedKey>(0, &42, 420);
-        leaf.wbuf_append::<FixedKey>(1, &42, 421);
-        leaf.wbuf_append::<FixedKey>(2, &7, 71);
-        let gen = leaf.wbuf_gen();
-        leaf.wbuf_fold::<FixedKey>();
-        assert_eq!(leaf.wbuf_count(), 0, "fold empties the buffer");
-        assert_eq!(leaf.wbuf_gen(), gen + 1, "fold bumps the generation");
-        assert_eq!(leaf.count(), 2);
-        let s42 = leaf.find_slot::<FixedKey>(&42).unwrap();
-        assert_eq!(leaf.value(s42), 421, "newest buffered value wins");
-        let s7 = leaf.find_slot::<FixedKey>(&7).unwrap();
-        assert_eq!(leaf.value(s7), 71, "buffer supersedes the slot copy");
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(421));
-        // Folding an empty buffer is a no-op.
-        leaf.wbuf_fold::<FixedKey>();
-        assert_eq!(leaf.wbuf_gen(), gen + 1);
+        assert_eq!(after.persist_calls - before.persist_calls, 1);
+        assert_eq!(after.flushed_lines - before.flushed_lines, 1);
+        assert_eq!(leaf.bitmap(), bm, "no slot consumed or retired");
+        assert_eq!(leaf.find_slot::<FixedKey>(&42), Some(3));
+        assert_eq!(leaf.find_value::<FixedKey>(&42), Some(421));
     }
 
     #[test]
@@ -1260,18 +876,18 @@ mod tests {
         // Keys at or past the successor's minimum short-circuit with ZERO
         // SCM read lines (everything consulted is transient).
         pool.stats().reset();
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&60), None);
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&50), None);
+        assert_eq!(leaf.find_value::<FixedKey>(&60), None);
+        assert_eq!(leaf.find_value::<FixedKey>(&50), None);
         assert_eq!(pool.stats().snapshot().read_lines, 0);
         // Keys below it probe normally.
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&10), Some(100));
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&49), None);
+        assert_eq!(leaf.find_value::<FixedKey>(&10), Some(100));
+        assert_eq!(leaf.find_value::<FixedKey>(&49), None);
         // Any commit on the successor self-invalidates the record and the
         // lookup degrades to a normal probe.
         insert_fixed(&succ, 1, 5, 55);
         assert_eq!(leaf.sentinel_succ_min(), None);
         pool.stats().reset();
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&60), None);
+        assert_eq!(leaf.find_value::<FixedKey>(&60), None);
         assert!(pool.stats().snapshot().read_lines > 0);
         // Chain surgery invalidates too; an explicit clear drops it.
         leaf.sentinel_store(5, soff, succ.version_word());
@@ -1287,23 +903,6 @@ mod tests {
         pool.atomic_u64(off + layout.off_sentinel as u64)
             .store(6, Ordering::Relaxed);
         assert_eq!(leaf.sentinel_succ_min(), None);
-    }
-
-    #[test]
-    fn max_key_covers_live_buffer_entries() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        assert_eq!(leaf.max_key::<FixedKey>(), None);
-        insert_fixed(&leaf, 0, 50, 500);
-        leaf.wbuf_append::<FixedKey>(0, &99, 990);
-        assert_eq!(
-            leaf.max_key::<FixedKey>(),
-            Some(99),
-            "a live buffered key is part of the leaf's key set"
-        );
-        leaf.wbuf_fold::<FixedKey>();
-        assert_eq!(leaf.wbuf_count(), 0);
-        assert_eq!(leaf.max_key::<FixedKey>(), Some(99));
     }
 
     #[test]
@@ -1365,30 +964,11 @@ mod tests {
             v0 + 2,
             "bitmap commit bumps, parity kept"
         );
-        leaf.wbuf_append::<FixedKey>(0, &1, 10);
-        assert_eq!(leaf.version_word(), v0 + 4, "buffer append bumps too");
         leaf.restore_version_monotonic(leaf.version_word());
         let v = leaf.version_word();
         assert!(
-            v > v0 + 4 && v & 1 == 0,
+            v > v0 + 2 && v & 1 == 0,
             "recycled word restarts strictly above, even"
         );
-    }
-
-    #[test]
-    fn wbuf_torn_sibling_word_kills_the_entry() {
-        let (pool, layout, off) = setup();
-        let leaf = Leaf::new(&pool, &layout, off);
-        leaf.wbuf_append::<FixedKey>(0, &42, 420);
-        leaf.wbuf_append::<FixedKey>(1, &43, 430);
-        assert_eq!(leaf.wbuf_count(), 2);
-        // Corrupt entry 1's value word as a torn multi-word publish would:
-        // its checksummed tag no longer matches, so the valid prefix ends.
-        pool.write_word(off + layout.wbuf_val_off(1) as u64, 0xDEAD);
-        assert_eq!(leaf.wbuf_count(), 1);
-        assert!(leaf.wbuf_entry_valid(0));
-        assert!(!leaf.wbuf_entry_valid(1));
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&42), Some(420));
-        assert_eq!(leaf.find_merged_value::<FixedKey>(&43), None);
     }
 }

@@ -38,6 +38,9 @@ const M_GROUP_SIZE: u64 = 64;
 const M_NLOGS: u64 = 72;
 const M_INNER_FANOUT: u64 = 80;
 const M_KEY_SLOT: u64 = 88;
+/// Per-leaf append-buffer entries in images written by builds that
+/// buffered single-key writes; always 0 here. Read only to refuse such
+/// images.
 const M_WBUF_ENTRIES: u64 = 96;
 /// Split/delete log arrays start here, 64 bytes per log.
 const M_LOGS: u64 = 256;
@@ -102,7 +105,6 @@ impl TreeMeta {
         pool.write_word(off + M_NLOGS, n_logs as u64);
         pool.write_word(off + M_INNER_FANOUT, cfg.inner_fanout as u64);
         pool.write_word(off + M_KEY_SLOT, key_slot as u64);
-        pool.write_word(off + M_WBUF_ENTRIES, cfg.wbuf_entries as u64);
         pool.persist(off, 128);
         TreeMeta { off, n_logs }
     }
@@ -144,7 +146,6 @@ impl TreeMeta {
             value_size: pool.read_word(self.off + M_VALUE_SIZE) as usize,
             fingerprints: flags & FLAG_FINGERPRINTS != 0,
             split_arrays: flags & FLAG_SPLIT_ARRAYS != 0,
-            wbuf_entries: pool.read_word(self.off + M_WBUF_ENTRIES) as usize,
             swar_probe: flags & FLAG_SWAR_PROBE != 0,
         };
         let key_slot = pool.read_word(self.off + M_KEY_SLOT) as usize;
@@ -155,6 +156,13 @@ impl TreeMeta {
     /// writes; larger values mark grouped-leaf images it cannot open).
     pub fn leaf_group_size(&self, pool: &PmemPool) -> u64 {
         pool.read_word(self.off + M_GROUP_SIZE)
+    }
+
+    /// Append-buffer entries per leaf recorded by the image (0 for every
+    /// image this build writes; larger values mark buffered-leaf images
+    /// whose leaves it cannot read).
+    pub fn wbuf_entries(&self, pool: &PmemPool) -> u64 {
+        pool.read_word(self.off + M_WBUF_ENTRIES)
     }
 
     /// Current status word.

@@ -3,8 +3,7 @@
 //! FPTree leaves keep entries unsorted behind fingerprints (§4.1), so an
 //! ordered scan has to *produce* order: seek to the first relevant leaf via
 //! the transient inner nodes, then walk the persistent `next` chain, sorting
-//! each leaf's merged live entries — bitmap-masked slots plus append-buffer
-//! entries, newest shadowing oldest (§5.12) — into a fixed stack buffer
+//! each leaf's live (bitmap-masked) entries into a fixed stack buffer
 //! ([`MAX_LEAF_CAPACITY`] slots, of which only the configured leaf capacity
 //! is ever used) before handing them out one by one.
 //!
@@ -258,7 +257,7 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
     /// Gathers one leaf into `buf` (no validation — the caller validates
     /// before committing). Returns `(past_hi, next_offset, min_enc)` where
     /// `min_enc` is the order-preserving prefix of the leaf's minimum key
-    /// across *all* merged entries, bounds ignored — the value a
+    /// across *all* valid entries, bounds ignored — the value a
     /// predecessor sentinel wants.
     fn gather(&mut self, off: u64) -> (bool, u64, Option<u64>) {
         let leaf = self.tree.ctx.leaf(off);
@@ -267,7 +266,8 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
         self.buf.clear();
         let mut past_hi = false;
         let mut min_enc: Option<u64> = None;
-        for (k, v) in leaf.collect_merged::<K>() {
+        for (slot, k) in leaf.collect_entries::<K>() {
+            let v = leaf.value(slot);
             let enc = K::prefix64(&k);
             if min_enc.is_none_or(|m| enc < m) {
                 min_enc = Some(enc);
@@ -276,9 +276,9 @@ impl<'a, K: ConcKey> ConcScan<'a, K> {
                 past_hi = true;
             } else if self.accepts(&k) {
                 if self.buf.is_full() {
-                    // Only a torn read (merged count never exceeds the slot
-                    // capacity under a valid snapshot); the validation after
-                    // this gather will discard the buffer anyway.
+                    // Only a torn read (a valid snapshot never holds more
+                    // entries than slots); the validation after this
+                    // gather will discard the buffer anyway.
                     break;
                 }
                 self.buf.insert(k, v);

@@ -3,7 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fptree_core::concurrent::{ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
+use fptree_core::concurrent::{ConcKey, ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree};
+use fptree_core::keys::{FixedKey, VarKey};
 use fptree_core::TreeConfig;
 use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
 use rand::prelude::*;
@@ -55,20 +56,16 @@ fn single_thread_update_remove() {
     t.leak_audit().unwrap();
 }
 
-/// Regression: a buffered update of a slot-resident key must not make the
-/// remove path think the leaf holds TWO live keys. With the raw
-/// `count() + wbuf_count()` heuristic, removing the last distinct key took
-/// the in-place path and left an empty leaf linked into the chain.
+/// An update of a leaf's last key must leave it counting as ONE live key,
+/// so removing that key unlinks the leaf instead of leaving an empty leaf
+/// linked into the chain.
 #[test]
-fn remove_after_buffered_update_unlinks_dying_leaves() {
-    let t = ConcurrentFPTree::create(pool(32), small_cfg().with_wbuf_entries(4), ROOT_SLOT);
+fn remove_after_update_unlinks_dying_leaves() {
+    let t = ConcurrentFPTree::create(pool(32), small_cfg(), ROOT_SLOT);
     for i in 0..200u64 {
         assert!(t.insert(&i, i));
     }
-    // Descending drain, updating each key just before its removal: when a
-    // leaf is down to one distinct key, the update parks in the append
-    // buffer over the key's slot — the exact state the dying check must
-    // still count as ONE.
+    // Descending drain, updating each key just before its removal.
     for i in (0..200u64).rev() {
         assert!(t.update(&i, i + 1000));
         assert!(t.remove(&i), "remove {i}");
@@ -76,6 +73,48 @@ fn remove_after_buffered_update_unlinks_dying_leaves() {
     }
     assert!(t.is_empty());
     t.leak_audit().unwrap();
+}
+
+/// Exact-counter oracle for the in-place update: with 8-byte values,
+/// updating a present key costs exactly one persist (the value word) and
+/// never splits, even when the key's leaf is full.
+fn update_is_one_persist<K: ConcKey>(mk: impl Fn(u64) -> K::Owned, preset: TreeConfig) {
+    let pool = pool(8);
+    let cfg = preset.with_leaf_capacity(4).with_inner_fanout(4);
+    let t = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+    for i in 0..4u64 {
+        assert!(t.insert(&mk(i), i));
+    }
+    assert_eq!(t.leaf_offsets().len(), 1, "four keys fill exactly one leaf");
+    for round in 1..=3u64 {
+        for i in 0..4u64 {
+            let before = pool.stats().snapshot().persist_calls;
+            assert!(t.update(&mk(i), i + 100 * round));
+            let persists = pool.stats().snapshot().persist_calls - before;
+            assert_eq!(persists, 1, "update of key {i} round {round}");
+            assert!(t.update_if(&mk(i), i + 100 * round, i + 100 * round + 1));
+            let persists = pool.stats().snapshot().persist_calls - before;
+            assert_eq!(persists, 2, "update_if of key {i} round {round}");
+            assert!(!t.update_if(&mk(i), i, 0), "stale guard must miss");
+            assert_eq!(pool.stats().snapshot().persist_calls - before, 2);
+        }
+    }
+    assert_eq!(t.leaf_offsets().len(), 1, "an update split a full leaf");
+    for i in 0..4u64 {
+        assert_eq!(t.get(&mk(i)), Some(i + 301));
+    }
+    t.check_consistency().unwrap();
+    t.leak_audit().unwrap();
+}
+
+#[test]
+fn update_costs_one_persist_and_never_splits() {
+    for preset in [TreeConfig::fptree(), TreeConfig::ptree()] {
+        update_is_one_persist::<FixedKey>(|k| k, preset);
+    }
+    for preset in [TreeConfig::fptree_var(), TreeConfig::ptree_var()] {
+        update_is_one_persist::<VarKey>(|k| format!("key:{k:05}").into_bytes(), preset);
+    }
 }
 
 #[test]
@@ -405,7 +444,7 @@ fn open_checks_key_kind() {
 }
 
 /// The concurrent preset and the PTree preset (split arrays, no
-/// fingerprints, no append buffer) must agree on semantics.
+/// fingerprints) must agree on semantics.
 #[test]
 fn presets_agree_on_semantics() {
     let pc = pool(64);

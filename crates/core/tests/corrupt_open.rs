@@ -98,6 +98,39 @@ fn grouped_leaf_image_is_refused() {
 }
 
 #[test]
+fn buffered_leaf_image_is_refused() {
+    // Images written with a per-leaf append buffer record its entry count
+    // (wbuf_entries) in the metadata word at +96 and size their leaves for
+    // it. This build's leaves end at the KV area, so it must refuse such an
+    // image with a typed error instead of dropping buffered writes.
+    for wbuf in [1u64, 8, u64::MAX / 2] {
+        let pool = reopen(built_image());
+        let owner: RawPPtr = pool.read_at(ROOT_SLOT);
+        pool.write_word(owner.offset + 96, wbuf);
+        match ConcurrentFPTree::open(pool, ROOT_SLOT) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("append-buffered"), "{msg}"),
+            Err(other) => panic!("wbuf {wbuf}: expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("wbuf {wbuf}: buffered image opened"),
+        }
+    }
+    // Garbage elsewhere in the block still reads as corruption first: a
+    // bad key kind or stored configuration is reported before the buffer
+    // word is consulted.
+    let pool = reopen(built_image());
+    let owner: RawPPtr = pool.read_at(ROOT_SLOT);
+    pool.write_word(owner.offset + 96, 8);
+    assert!(matches!(
+        fptree_core::ConcurrentFPTreeVar::open(pool, ROOT_SLOT),
+        Err(Error::Corrupt { .. })
+    ));
+    let pool = reopen(built_image());
+    let owner: RawPPtr = pool.read_at(ROOT_SLOT);
+    pool.write_word(owner.offset + 96, 8);
+    pool.write_word(owner.offset + 8, 1 << 40);
+    assert_corrupt(ConcurrentFPTree::open(pool, ROOT_SLOT));
+}
+
+#[test]
 fn garbage_leaf_head_is_rejected() {
     // The head-of-leaf-list pointer (metadata field at +32) aimed at
     // unaligned or out-of-pool addresses.

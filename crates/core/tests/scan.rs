@@ -197,70 +197,6 @@ fn batched_writes_scan_like_loop_writes() {
     var_batched.check_consistency().unwrap();
 }
 
-/// Scans must surface entries that still live in the per-leaf append
-/// buffer (§5.12): with `leaf_capacity` 16 and `wbuf_entries` 8, fewer
-/// than eight writes to one leaf never trigger a fold, so the keys below
-/// are only reachable through the buffer when the scan runs.
-#[test]
-fn scan_sees_buffered_entries() {
-    let cfg = TreeConfig::fptree()
-        .with_leaf_capacity(16)
-        .with_inner_fanout(4)
-        .with_wbuf_entries(8);
-    let t = ConcurrentFPTree::create(pool(32), cfg, ROOT_SLOT);
-    // Five buffered inserts, out of order; all stay in the buffer.
-    for k in [40u64, 10, 30, 50, 20] {
-        assert!(t.insert(&k, k + 1));
-    }
-    let got: Vec<(u64, u64)> = t.scan(..).collect();
-    assert_eq!(got, [(10, 11), (20, 21), (30, 31), (40, 41), (50, 51)]);
-    // A buffered update supersedes a buffered insert: newest entry wins
-    // and the key appears exactly once.
-    assert!(t.update(&30, 999));
-    let got: Vec<(u64, u64)> = t.scan(..).collect();
-    assert_eq!(got, [(10, 11), (20, 21), (30, 999), (40, 41), (50, 51)]);
-    // Range bounds cut through buffered keys.
-    let got: Vec<(u64, u64)> = t.scan(20..=40).collect();
-    assert_eq!(got, [(20, 21), (30, 999), (40, 41)]);
-    // Force a fold (eight live entries), then buffer an update over the
-    // folded slot: the scan must prefer the buffered value over the slot.
-    for k in [60u64, 70, 80] {
-        assert!(t.insert(&k, k + 1));
-    }
-    assert!(t.update(&10, 1234));
-    let got: Vec<(u64, u64)> = t.scan(..).collect();
-    assert_eq!(
-        got,
-        [
-            (10, 1234),
-            (20, 21),
-            (30, 999),
-            (40, 41),
-            (50, 51),
-            (60, 61),
-            (70, 71),
-            (80, 81)
-        ]
-    );
-    t.check_consistency().unwrap();
-
-    // Concurrent variant: seqlock-validated scan reads the buffer too.
-    let cfg = TreeConfig::fptree_concurrent()
-        .with_leaf_capacity(16)
-        .with_inner_fanout(4)
-        .with_wbuf_entries(8);
-    let c = ConcurrentFPTree::create(pool(32), cfg, ROOT_SLOT);
-    for k in [40u64, 10, 30] {
-        assert!(c.insert(&k, k + 1));
-    }
-    assert!(c.update(&10, 77));
-    let got: Vec<(u64, u64)> = c.scan(..).collect();
-    assert_eq!(got, [(10, 77), (30, 31), (40, 41)]);
-    let got: Vec<(u64, u64)> = c.scan(10..40).collect();
-    assert_eq!(got, [(10, 77), (30, 31)]);
-    c.check_consistency().unwrap();
-}
-
 /// Quiescent concurrent scans are exactly the model, for every bound shape.
 #[test]
 fn concurrent_scan_quiescent_matches_model() {

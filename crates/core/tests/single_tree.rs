@@ -88,13 +88,16 @@ fn update_on_full_leaf_splits() {
     let pool = direct_pool(8);
     let cfg = TreeConfig::fptree()
         .with_leaf_capacity(4)
-        .with_inner_fanout(8);
+        .with_inner_fanout(8)
+        .with_value_size(16);
     let t = ConcurrentFPTree::create(pool, cfg, ROOT_SLOT);
     for i in 0..4u64 {
         t.insert(&i, i);
     }
-    // The single leaf is full: updating must split, then update.
+    // Values wider than one word update out of place (Algorithm 8): the
+    // single leaf is full, so updating must split, then update.
     assert!(t.update(&2, 777));
+    assert_eq!(t.leaf_offsets().len(), 2);
     assert_eq!(t.get(&2), Some(777));
     assert_eq!(t.len(), 4);
     t.check_consistency().unwrap();
@@ -619,47 +622,4 @@ fn file_backed_tree_survives_process_style_restart() {
         t.check_consistency().unwrap();
     }
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn buffered_max_key_survives_split_and_recovery() {
-    // Regression: a leaf's maximum living only in the append buffer must
-    // still drive the split discriminator and the recovered inner index.
-    // Ascending inserts keep the rightmost leaf's max perpetually buffered
-    // (every single-key commit lands in the wbuf first), so each split and
-    // the final rebuild happen while maxima are wbuf-fresh.
-    let cfg = TreeConfig::fptree()
-        .with_leaf_capacity(4)
-        .with_inner_fanout(4)
-        .with_wbuf_entries(4);
-    let pool = tracked_pool(8);
-    let t = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
-    for i in 0..64u64 {
-        assert!(t.insert(&i, i * 3), "insert {i}");
-    }
-    for i in 0..64u64 {
-        assert_eq!(t.get(&i), Some(i * 3), "get {i} after buffered splits");
-    }
-    let scanned: Vec<(u64, u64)> = t.scan(..).collect();
-    assert_eq!(scanned.len(), 64);
-    assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan sorted");
-    t.check_consistency().unwrap();
-
-    // Recover while the hottest leaves still hold unfolded buffer entries:
-    // the rebuilt discriminators must route every key — including ones
-    // whose leaf max was buffered at crash time — and stay consistent
-    // under post-recovery inserts that traverse the rebuilt index.
-    let img = pool.clean_image();
-    let pool2 = Arc::new(PmemPool::reopen(img, PoolOptions::tracked(0)).unwrap());
-    let t2 = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-    for i in 0..64u64 {
-        assert_eq!(t2.get(&i), Some(i * 3), "get {i} after recovery");
-    }
-    for i in 64..96u64 {
-        assert!(t2.insert(&i, i * 3), "post-recovery insert {i}");
-    }
-    for i in 0..96u64 {
-        assert_eq!(t2.get(&i), Some(i * 3), "get {i} after rebuild routing");
-    }
-    t2.check_consistency().unwrap();
 }

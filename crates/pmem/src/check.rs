@@ -27,7 +27,7 @@
 //!   is sequentially consistent per pool, so `persist` already implies the
 //!   paper's fence–flush–fence sequence).
 //!
-//! Transient in-pool atomics (`atomic_u8` / `atomic_u64`, the leaf locks)
+//! Transient in-pool atomics (`atomic_u64`: the leaf locks and sentinels)
 //! bypass the trace by design: the paper never persists lock words and
 //! recovery resets them.
 //!
@@ -712,13 +712,12 @@ mod tests {
     }
 
     #[test]
-    fn buffer_entry_commit_is_one_clean_publish() {
-        // The leaf append-buffer commit: the whole (tag, key, value) entry
-        // is one word-aligned multi-word publish with no prior operand
-        // stores, so a single persist closes the op cleanly. Recovery
-        // tolerates per-word tearing via the checksum in the tag word.
+    fn multiword_publish_is_one_clean_commit() {
+        // A word-aligned multi-word publish with no prior operand stores:
+        // a single persist closes the op cleanly (each word commits
+        // p-atomically; recovery must tolerate any subset surviving).
         let mut st = CheckerState::default();
-        let id = st.begin_op("wbuf_append");
+        let id = st.begin_op("multiword_publish");
         st.record_store(4096, 24, true, Some(id));
         st.record_flush(4096, 24);
         assert_eq!(st.end_op(id, false), 0);
@@ -726,12 +725,11 @@ mod tests {
     }
 
     #[test]
-    fn buffer_entry_commit_misaligned_is_torn() {
+    fn multiword_publish_misaligned_is_torn() {
         // Same shape but off word alignment: every word could tear
-        // independently across field boundaries, which the tag checksum
-        // does not cover.
+        // independently across field boundaries.
         let mut st = CheckerState::default();
-        let id = st.begin_op("wbuf_append");
+        let id = st.begin_op("multiword_publish");
         st.record_store(4100, 24, true, Some(id));
         st.record_flush(4100, 24);
         assert_eq!(st.end_op(id, false), 1);
@@ -739,11 +737,11 @@ mod tests {
     }
 
     #[test]
-    fn buffer_entry_commit_unflushed_is_missing_flush() {
+    fn multiword_publish_unflushed_is_missing_flush() {
         // MissingFlush is reported per stored word, so the whole 3-word
-        // entry surfaces as three violations.
+        // record surfaces as three violations.
         let mut st = CheckerState::default();
-        let id = st.begin_op("wbuf_append");
+        let id = st.begin_op("multiword_publish");
         st.record_store(4096, 24, true, Some(id));
         assert_eq!(st.end_op(id, false), 3);
         let report = st.report();

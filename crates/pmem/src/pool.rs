@@ -19,7 +19,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -155,7 +155,7 @@ struct Overlay {
 /// All persistent accesses go through the typed [`read`](Self::read) /
 /// [`write`](Self::write) API so that tracked mode can interpose the cache
 /// overlay; transient in-pool fields (leaf locks) use
-/// [`atomic_u8`](Self::atomic_u8) and bypass it by design.
+/// [`atomic_u64`](Self::atomic_u64) and bypass it by design.
 ///
 /// ```
 /// use fptree_pmem::{PmemPool, PoolOptions, ROOT_SLOT};
@@ -447,29 +447,6 @@ impl PmemPool {
         self.write_publish_at(off, &val);
     }
 
-    /// Multi-word *publish* write of raw bytes (see
-    /// [`write_publish_at`](Self::write_publish_at)): used for
-    /// dynamically sized commit records such as leaf append-buffer
-    /// entries, whose length depends on the runtime layout. Must be
-    /// 8-byte aligned and a whole number of words so each word commits
-    /// p-atomically (the checker's per-word commit convention —
-    /// recovery must tolerate any subset of the words surviving a
-    /// crash, e.g. by validating a checksum stored in one word).
-    #[inline]
-    pub fn write_publish_bytes(&self, off: u64, src: &[u8]) {
-        assert_eq!(
-            off % PATOMIC_SIZE as u64,
-            0,
-            "p-atomic write must be 8-byte aligned"
-        );
-        assert_eq!(
-            src.len() % PATOMIC_SIZE,
-            0,
-            "multi-word publish must be a whole number of words"
-        );
-        self.write_bytes_inner(off, src, true);
-    }
-
     /// Writes a POD value through a typed persistent pointer.
     #[inline]
     pub fn write<T: Pod>(&self, p: PPtr<T>, val: &T) {
@@ -717,20 +694,11 @@ impl PmemPool {
 
     // ------------------------------------------------------------- atomics
 
-    /// A reference to a *transient* atomic byte inside the pool (leaf locks).
+    /// A reference to a *transient* atomic u64 inside the pool (leaf
+    /// locks, sentinel records).
     ///
     /// Deliberately bypasses the tracked-mode overlay: the paper never
     /// persists leaf-lock writes; recovery resets them.
-    #[inline]
-    pub fn atomic_u8(&self, off: u64) -> &AtomicU8 {
-        self.check(off, 1);
-        // SAFETY: the byte is in bounds, lives in UnsafeCell storage, and
-        // AtomicU8 has the same layout as u8; concurrent access through the
-        // returned reference is what atomics are for.
-        unsafe { &*(self.base().add(off as usize) as *const AtomicU8) }
-    }
-
-    /// A reference to a transient atomic u64 inside the pool.
     #[inline]
     pub fn atomic_u64(&self, off: u64) -> &AtomicU64 {
         self.check(off, 8);
@@ -1010,9 +978,9 @@ mod tests {
     #[test]
     fn atomics_bypass_overlay() {
         let pool = tracked_pool();
-        let a = pool.atomic_u8(USER_BASE);
+        let a = pool.atomic_u64(USER_BASE);
         a.store(1, Ordering::SeqCst);
-        assert_eq!(pool.atomic_u8(USER_BASE).load(Ordering::SeqCst), 1);
+        assert_eq!(pool.atomic_u64(USER_BASE).load(Ordering::SeqCst), 1);
         // No dirty line was created: the write went straight to memory.
         assert_eq!(pool.dirty_lines(), 0);
     }

@@ -39,7 +39,6 @@ fn crash_check<K: ConcKey>(
     fuse: u64,
     seed: u64,
     preset: TreeConfig,
-    wbuf: usize,
 ) {
     let pool =
         Arc::new(PmemPool::create(PoolOptions::tracked(64 << 20).with_checker()).expect("pool"));
@@ -50,11 +49,7 @@ fn crash_check<K: ConcKey>(
     let in_flight = std::sync::Mutex::new(None::<u16>);
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = preset
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_wbuf_entries(wbuf);
-        let tree = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        let tree = ConcurrentTree::<K>::create(Arc::clone(&pool), preset, ROOT_SLOT);
         pool.set_crash_fuse(Some(fuse));
         for op in ops {
             *in_flight.lock().expect("in-flight") = Some(match op {
@@ -167,6 +162,12 @@ fn crash_check<K: ConcKey>(
     // Recovery itself (allocator log replay, micro-log replay, re-init)
     // must follow the durability protocol too.
     pool2.assert_durability_clean();
+}
+
+/// Shrinks a preset to 4-entry leaves and 4-way inner nodes, so short
+/// schedules split, unlink and rebuild often.
+fn small(preset: TreeConfig) -> TreeConfig {
+    preset.with_leaf_capacity(4).with_inner_fanout(4)
 }
 
 /// A schedule step for the batched-commit crash sweep.
@@ -436,52 +437,36 @@ proptest! {
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::fptree(), 8);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, small(TreeConfig::fptree()));
     }
 
-    /// The PTree preset: split key/value arrays, no fingerprints, no
-    /// append buffer.
+    /// The PTree preset: split key/value arrays, no fingerprints.
     #[test]
     fn fixed_keys_ptree(
         ops in proptest::collection::vec(op_strategy(), 20..120),
         fuse in 50u64..2500,
         seed in any::<u64>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::ptree(), 0);
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, small(TreeConfig::ptree()));
     }
 
-    /// The §5.12 append-buffer crash sweep: buffer sizes from disabled to
-    /// larger than the leaf, so random fuses land inside append publishes
-    /// and folds (stage + bitmap commit + generation bump) as well as the
-    /// plain slot path.
+    /// Leaf geometry sweep: leaf capacities from 2 to 8 move the split and
+    /// dying-leaf windows, and 16-byte values switch updates from the
+    /// in-place value publish to the out-of-place slot + bitmap path
+    /// (Algorithm 8), so random fuses land inside both update protocols.
     #[test]
-    fn wbuf_sizes_fixed_keys(
+    fn leaf_layouts_fixed_keys(
         ops in proptest::collection::vec(op_strategy(), 20..120),
         fuse in 50u64..2500,
         seed in any::<u64>(),
-        wbuf in 0usize..=6,
+        m in 2usize..=8,
+        wide in any::<bool>(),
     ) {
-        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, TreeConfig::fptree(), wbuf);
-    }
-
-    /// Variable-size keys through the buffer: append entries own key blobs,
-    /// and folds transfer blob pointers into slots then zero the dead
-    /// entries — every window swept under crash + leak audit.
-    #[test]
-    fn wbuf_sizes_var_keys(
-        ops in proptest::collection::vec(op_strategy(), 20..80),
-        fuse in 50u64..2500,
-        seed in any::<u64>(),
-        wbuf in 1usize..=4,
-    ) {
-        crash_check::<VarKey>(
-            |k| format!("key:{k:05}").into_bytes(),
-            &ops,
-            fuse,
-            seed,
-            TreeConfig::fptree_var(),
-            wbuf,
-        );
+        let cfg = TreeConfig::fptree()
+            .with_leaf_capacity(m)
+            .with_inner_fanout(4)
+            .with_value_size(if wide { 16 } else { 8 });
+        crash_check::<FixedKey>(|k| k as u64, &ops, fuse, seed, cfg);
     }
 
     #[test]
@@ -495,8 +480,24 @@ proptest! {
             &ops,
             fuse,
             seed,
-            TreeConfig::fptree_var(),
-            8,
+            small(TreeConfig::fptree_var()),
+        );
+    }
+
+    /// Variable-size keys on the PTree preset: a linear key scan over
+    /// persistent blob pointers instead of a fingerprint probe.
+    #[test]
+    fn var_keys_ptree(
+        ops in proptest::collection::vec(op_strategy(), 20..80),
+        fuse in 50u64..2500,
+        seed in any::<u64>(),
+    ) {
+        crash_check::<VarKey>(
+            |k| format!("key:{k:05}").into_bytes(),
+            &ops,
+            fuse,
+            seed,
+            small(TreeConfig::ptree_var()),
         );
     }
 

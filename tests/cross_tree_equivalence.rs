@@ -408,25 +408,31 @@ proptest! {
     }
 
     #[test]
-    fn buffered_writes_match_loop_oracle(
+    fn update_paths_match_loop_oracle(
         ops in proptest::collection::vec(op_strategy(), 50..250),
-        wbuf in 1usize..=8,
+        wide in any::<bool>(),
     ) {
         use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         use std::sync::Arc;
 
-        // Single-key writes that commit through the per-leaf append buffer
-        // (§5.12) must be observationally identical to the loop-of-singles
-        // oracle at every buffer size, for gets, ranges, and full scans —
-        // including reads that land while entries are still buffered.
-        {
+        // 8-byte values update in place; 16-byte values take Algorithm 8's
+        // out-of-place slot + bitmap path, which needs a free slot and so
+        // can split a full leaf. Both must be observationally identical to
+        // the loop-of-singles oracle on every preset, for gets, ranges and
+        // full scans.
+        let value_size = if wide { 16 } else { 8 };
+        for (name, preset) in [
+            ("fptree", TreeConfig::fptree()),
+            ("fptree-c", TreeConfig::fptree_concurrent()),
+            ("ptree", TreeConfig::ptree()),
+        ] {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
             let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree()).with_wbuf_entries(wbuf),
+                small(preset).with_value_size(value_size),
                 ROOT_SLOT,
             );
-            check(&format!("fptree-wbuf{wbuf}"), &ops, |c| match c {
+            check(&format!("{name}-v{value_size}"), &ops, |c| match c {
                 Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
@@ -434,57 +440,6 @@ proptest! {
                 Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
                 Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
             });
-            t.check_consistency().unwrap();
-        }
-        // Concurrent variant: the buffer rides under the leaf lock.
-        {
-            let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let t = fptree_suite::core::ConcurrentFPTree::create(
-                pool,
-                small(TreeConfig::fptree_concurrent()).with_wbuf_entries(wbuf),
-                ROOT_SLOT,
-            );
-            check(&format!("fptree-c-wbuf{wbuf}"), &ops, |c| match c {
-                Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
-                Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
-                Call::Remove(k) => Resp::Bool(t.remove(&k)),
-                Call::Get(k) => Resp::Val(t.get(&k)),
-                Call::Range(lo, hi) => Resp::Scan(Some(t.scan(lo..=hi).collect())),
-                Call::ScanAll => Resp::Scan(Some(t.scan(..).collect())),
-            });
-            t.check_consistency().unwrap();
-        }
-        // Batch entry points on a buffered tree still follow loop-of-singles
-        // semantics: the fold path and the batch path may not disagree.
-        {
-            let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
-            let t = fptree_suite::core::ConcurrentFPTree::create(
-                pool,
-                small(TreeConfig::fptree()).with_wbuf_entries(wbuf),
-                ROOT_SLOT,
-            );
-            let mut oracle = BTreeMap::new();
-            for op in &ops {
-                match op {
-                    Op::Insert(k, v) => {
-                        let expect = usize::from(!oracle.contains_key(&(*k as u64)));
-                        let got = t.insert_batch(&[(*k as u64, *v as u64)]);
-                        prop_assert_eq!(got, expect, "batch-of-one insert {}", k);
-                        if expect == 1 {
-                            oracle.insert(*k as u64, *v as u64);
-                        }
-                    }
-                    Op::Remove(k) => {
-                        let expect = usize::from(oracle.remove(&(*k as u64)).is_some());
-                        let got = t.remove_batch(&[*k as u64]);
-                        prop_assert_eq!(got, expect, "batch-of-one remove {}", k);
-                    }
-                    _ => {}
-                }
-            }
-            let got: Vec<(u64, u64)> = t.scan(..).collect();
-            let expect: Vec<(u64, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(got, expect, "buffered batch-of-one: scan");
             t.check_consistency().unwrap();
         }
     }
@@ -495,7 +450,6 @@ proptest! {
         bitmap in any::<u64>(),
         mut keys in proptest::collection::vec(0u64..96, 64),
         probes in proptest::collection::vec(0u64..96, 32),
-        wbuf in prop_oneof![Just(0usize), Just(8usize)],
         collide in any::<bool>(),
     ) {
         use fptree_suite::core::fingerprint::fingerprint_u64;
@@ -526,7 +480,6 @@ proptest! {
         // views read identical leaf bytes.
         let cfg_on = TreeConfig {
             leaf_capacity: m,
-            wbuf_entries: wbuf,
             ..TreeConfig::fptree()
         };
         let cfg_off = TreeConfig { swar_probe: false, ..cfg_on };
@@ -562,7 +515,6 @@ proptest! {
     #[test]
     fn scalar_probe_trees_agree(
         ops in proptest::collection::vec(op_strategy(), 50..250),
-        wbuf in prop_oneof![Just(0usize), Just(8usize)],
     ) {
         use fptree_suite::pmem::{PmemPool, PoolOptions, ROOT_SLOT};
         use std::sync::Arc;
@@ -574,12 +526,10 @@ proptest! {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
             let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree())
-                    .with_swar_probe(false)
-                    .with_wbuf_entries(wbuf),
+                small(TreeConfig::fptree()).with_swar_probe(false),
                 ROOT_SLOT,
             );
-            check(&format!("fptree-scalar-wbuf{wbuf}"), &ops, |c| match c {
+            check("fptree-scalar", &ops, |c| match c {
                 Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),
@@ -593,12 +543,10 @@ proptest! {
             let pool = Arc::new(PmemPool::create(PoolOptions::direct(64 << 20)).unwrap());
             let t = fptree_suite::core::ConcurrentFPTree::create(
                 pool,
-                small(TreeConfig::fptree_concurrent())
-                    .with_swar_probe(false)
-                    .with_wbuf_entries(wbuf),
+                small(TreeConfig::fptree_concurrent()).with_swar_probe(false),
                 ROOT_SLOT,
             );
-            check(&format!("fptree-c-scalar-wbuf{wbuf}"), &ops, |c| match c {
+            check("fptree-c-scalar", &ops, |c| match c {
                 Call::Insert(k, v) => Resp::Bool(t.insert(&k, v)),
                 Call::Update(k, v) => Resp::Bool(t.update(&k, v)),
                 Call::Remove(k) => Resp::Bool(t.remove(&k)),

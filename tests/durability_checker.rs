@@ -9,7 +9,10 @@
 
 use std::sync::Arc;
 
-use fptree_suite::core::{ConcurrentFPTree, ConcurrentFPTreeVar, TreeConfig};
+use fptree_suite::core::keys::{FixedKey, VarKey};
+use fptree_suite::core::{
+    ConcKey, ConcurrentFPTree, ConcurrentFPTreeVar, ConcurrentTree, TreeConfig,
+};
 use fptree_suite::pmem::{
     crash_is_injected, PmemPool, PoolOptions, RawPPtr, ViolationKind, ROOT_SLOT, USER_BASE,
 };
@@ -268,42 +271,38 @@ fn batched_recovery_is_clean_after_midrun_crash() {
     }
 }
 
-// ------------------------------------------ append-buffer commit point (§5.12)
+// ----------------------------------------- in-place value update (8-byte values)
 
-/// Crash a buffered single-key insert at every persistence event around its
-/// one-publish commit — landing before the entry publish (the entry must be
-/// invisible after recovery), inside the multi-word publish (a torn sibling
-/// word must kill the checksummed tag), and after it (the entry must be
-/// durable or recoverable) — on the single-threaded FPTree preset. The checker
-/// must accept both sides of the crash, and recovery must be atomic: the
-/// in-flight key is present-with-its-value or absent, never torn.
-#[test]
-fn wbuf_commit_crash_sweep_single_tree() {
-    for fuse in 1..=14u64 {
+/// Crashes a run of updates at every persistence event around the in-place
+/// value publish (one p-atomic word write + one persist per update). The
+/// checker must accept both sides of the crash; after recovery every primed
+/// key reads either its old or its new value — never a torn or foreign one
+/// — updated keys keep their slots (nothing consumed, nothing leaked), and
+/// the tree stays consistent.
+fn update_crash_sweep<K: ConcKey>(mk: impl Fn(u64) -> K::Owned, preset: TreeConfig) {
+    const KEYS: u64 = 12;
+    // Two events per update: the publish store and its persist. The fuse
+    // lets `fuse` events complete and crashes the next one.
+    for fuse in 0..2 * KEYS {
         let pool = checked_pool(32 << 20);
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(8)
-            .with_inner_fanout(4);
-        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
-        // Prime past the first-leaf setup so the fuse lands inside the
-        // append itself (and, at higher fuses, inside the fold it forces).
-        for k in 0..6u64 {
-            assert!(tree.insert(&k, k * 10));
+        let cfg = preset.with_leaf_capacity(4).with_inner_fanout(4);
+        let tree = ConcurrentTree::<K>::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+        for k in 0..KEYS {
+            assert!(tree.insert(&mk(k), k));
         }
         pool.assert_durability_clean();
 
         pool.set_crash_fuse(Some(fuse));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for k in 100..120u64 {
-                tree.insert(&k, k * 10);
+            for k in 0..KEYS {
+                assert!(tree.update(&mk(k), k + 1000));
             }
         }));
         pool.set_crash_fuse(None);
-        let crashed = outcome.is_err();
-        if let Err(e) = outcome {
-            assert!(crash_is_injected(e.as_ref()), "non-injected panic");
+        match outcome {
+            Err(e) => assert!(crash_is_injected(e.as_ref()), "non-injected panic"),
+            Ok(()) => panic!("fuse {fuse} never fired"),
         }
-        assert!(crashed, "fuse {fuse} never fired");
         pool.assert_durability_clean();
 
         for seed in [1u64, 42, 7777] {
@@ -311,121 +310,84 @@ fn wbuf_commit_crash_sweep_single_tree() {
             let pool2 = Arc::new(
                 PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
             );
-            let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
+            let tree = ConcurrentTree::<K>::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
             tree.check_consistency().expect("recovered tree consistent");
-            for k in 0..6u64 {
-                assert_eq!(tree.get(&k), Some(k * 10), "primed key lost (fuse {fuse})");
-            }
-            // Atomicity at the commit point: each in-flight key either
-            // committed with its exact value or vanished.
-            for k in 100..120u64 {
-                match tree.get(&k) {
-                    None => {}
-                    Some(v) => assert_eq!(v, k * 10, "torn buffered insert (fuse {fuse})"),
+            assert_eq!(tree.len() as u64, KEYS, "an update changed the key set");
+            // Updates that returned before the crash are durable; the one
+            // in flight reads old or new; later ones never started.
+            let done = fuse / 2;
+            for k in 0..KEYS {
+                let v = tree.get(&mk(k)).expect("updated key lost");
+                if k < done {
+                    assert_eq!(v, k + 1000, "completed update lost (fuse {fuse})");
+                } else if k == done {
+                    assert!(v == k || v == k + 1000, "torn update {v} (fuse {fuse})");
+                } else {
+                    assert_eq!(v, k, "phantom update (fuse {fuse})");
                 }
             }
+            tree.leak_audit().expect("no persistent leaks");
             pool2.assert_durability_clean();
         }
     }
 }
 
-/// The same commit-point sweep on the concurrent preset (128-way inner
-/// nodes).
 #[test]
-fn wbuf_commit_crash_sweep_concurrent_tree() {
-    for fuse in 1..=14u64 {
-        let pool = checked_pool(32 << 20);
-        let cfg = TreeConfig::fptree_concurrent()
-            .with_leaf_capacity(8)
-            .with_inner_fanout(4);
-        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
-        for k in 0..6u64 {
-            assert!(tree.insert(&k, k * 10));
-        }
-        pool.assert_durability_clean();
+fn in_place_update_crash_sweep_fixed_keys() {
+    for preset in [
+        TreeConfig::fptree(),
+        TreeConfig::fptree_concurrent(),
+        TreeConfig::ptree(),
+    ] {
+        update_crash_sweep::<FixedKey>(|k| k, preset);
+    }
+}
 
-        pool.set_crash_fuse(Some(fuse));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for k in 100..120u64 {
-                tree.insert(&k, k * 10);
+#[test]
+fn in_place_update_crash_sweep_var_keys() {
+    for preset in [
+        TreeConfig::fptree_var(),
+        TreeConfig::fptree_concurrent_var(),
+        TreeConfig::ptree_var(),
+    ] {
+        update_crash_sweep::<VarKey>(|k| format!("key:{k:05}").into_bytes(), preset);
+    }
+}
+
+/// Single-key insert/update/remove traffic — including full-leaf updates,
+/// splits and dying-leaf unlinks — is protocol-clean on every preset, with
+/// 8-byte values (in-place update) and with 16-byte values (the
+/// out-of-place slot + bitmap update of Algorithm 8).
+#[test]
+fn update_workloads_are_clean_on_every_preset() {
+    for preset in [
+        TreeConfig::fptree(),
+        TreeConfig::fptree_concurrent(),
+        TreeConfig::ptree(),
+    ] {
+        for value_size in [8usize, 16] {
+            let pool = checked_pool(32 << 20);
+            let cfg = preset
+                .with_leaf_capacity(4)
+                .with_inner_fanout(4)
+                .with_value_size(value_size);
+            let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
+            for k in 0..150u64 {
+                assert!(tree.insert(&k, k));
             }
-        }));
-        pool.set_crash_fuse(None);
-        if let Err(e) = outcome {
-            assert!(crash_is_injected(e.as_ref()), "non-injected panic");
-        }
-        pool.assert_durability_clean();
-
-        for seed in [3u64, 99] {
-            let img = pool.crash_image(seed);
-            let pool2 = Arc::new(
-                PmemPool::reopen(img, PoolOptions::tracked(0).with_checker()).expect("reopen"),
+            for k in (0..150u64).step_by(2) {
+                assert!(tree.update(&k, k + 1));
+            }
+            for k in (0..150u64).step_by(3) {
+                assert!(tree.remove(&k));
+            }
+            let report = pool.take_durability_report();
+            assert!(
+                report.is_clean(),
+                "{preset:?} value_size={value_size} dirty:\n{}",
+                report.render()
             );
-            let tree = ConcurrentFPTree::open(Arc::clone(&pool2), ROOT_SLOT).expect("recover");
-            tree.check_consistency().expect("recovered tree consistent");
-            for k in 0..6u64 {
-                assert_eq!(tree.get(&k), Some(k * 10), "primed key lost (fuse {fuse})");
-            }
-            for k in 100..120u64 {
-                match tree.get(&k) {
-                    None => {}
-                    Some(v) => assert_eq!(v, k * 10, "torn buffered insert (fuse {fuse})"),
-                }
-            }
-            pool2.assert_durability_clean();
         }
-    }
-}
-
-/// Buffered single-key traffic — appends, shadowing updates, overflow
-/// folds, splits of folded leaves — is protocol-clean for every buffer
-/// size on both the single-threaded and the concurrent preset.
-#[test]
-fn wbuf_workloads_are_clean_across_buffer_sizes() {
-    for wbuf in [0usize, 1, 2, 8] {
-        let pool = checked_pool(32 << 20);
-        let cfg = TreeConfig::fptree()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_wbuf_entries(wbuf);
-        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
-        for k in 0..150u64 {
-            assert!(tree.insert(&k, k));
-        }
-        for k in (0..150u64).step_by(2) {
-            assert!(tree.update(&k, k + 1));
-        }
-        for k in (0..150u64).step_by(3) {
-            assert!(tree.remove(&k));
-        }
-        let report = pool.take_durability_report();
-        assert!(
-            report.is_clean(),
-            "single-tree wbuf={wbuf} dirty:\n{}",
-            report.render()
-        );
-
-        let pool = checked_pool(32 << 20);
-        let cfg = TreeConfig::fptree_concurrent()
-            .with_leaf_capacity(4)
-            .with_inner_fanout(4)
-            .with_wbuf_entries(wbuf);
-        let tree = ConcurrentFPTree::create(Arc::clone(&pool), cfg, ROOT_SLOT);
-        for k in 0..150u64 {
-            assert!(tree.insert(&k, k));
-        }
-        for k in (0..150u64).step_by(2) {
-            assert!(tree.update(&k, k + 1));
-        }
-        for k in (0..150u64).step_by(3) {
-            assert!(tree.remove(&k));
-        }
-        let report = pool.take_durability_report();
-        assert!(
-            report.is_clean(),
-            "concurrent wbuf={wbuf} dirty:\n{}",
-            report.render()
-        );
     }
 }
 
